@@ -4,7 +4,7 @@ module Codec = Repro_pdu.Codec
 
 (* One scripted membership change, committed by an explicit [Cut] event once
    the epoch-0 script is exhausted and the members have reconciled. *)
-type churn = Join | Leave of int
+type churn = Repro_member.Epoch_cut.change = Join | Leave of int
 
 type config = {
   n : int;
@@ -228,76 +228,26 @@ let cut_enabled sys =
   && reconciled sys
 
 let do_cut sys =
-  let old = sys.entities in
-  let n_old = Array.length old in
-  let r = Entity.req old.(0) in
-  let epoch = sys.epoch + 1 in
-  let n_new, map =
-    match sys.cfg.churn with
-    | Some Join -> (n_old + 1, fun k -> if k < n_old then Some k else None)
-    | Some (Leave l) -> (n_old - 1, fun k -> Some (if k < l then k else k + 1))
-    | None -> assert false
+  let cut =
+    Repro_member.Epoch_cut.in_rank_space ~base:sys.cfg.protocol
+      ~epoch:sys.epoch ~n:(Array.length sys.entities) (Option.get sys.cfg.churn)
+      ~req:(Entity.req sys.entities.(0))
   in
-  let inv = Array.make n_old (-1) in
-  for k = 0 to n_new - 1 do
-    match map k with Some o -> inv.(o) <- k | None -> ()
-  done;
-  let req' =
-    Array.init n_new (fun k -> match map k with Some o -> r.(o) | None -> 1)
-  in
-  let remap_vec v =
-    Array.init n_new (fun k -> match map k with Some o -> v.(o) | None -> 1)
-  in
-  (* Mirror of Group.translate: only the sub-cut history of surviving
-     sources crosses the boundary, re-homed into the new rank space. *)
-  let headers_of e =
-    List.filter_map
-      (fun (src, seq, ack) ->
-        if inv.(src) >= 0 && seq < r.(src) then
-          Some (inv.(src), seq, remap_vec ack)
-        else None)
-      (Entity.header_entries e)
-  in
-  let config' =
-    {
-      sys.cfg.protocol with
-      Config.cid =
-        Repro_member.Group.epoch_cid ~cid:sys.cfg.protocol.Config.cid ~epoch;
-      epoch;
-    }
-  in
+  let n_new = Repro_member.Epoch_cut.size cut in
   (* Survivors keep their queues of stale old-epoch copies under their new
      rank; the joiner starts clean; the leaver's queue dies with its NIC.
      Fresh timer queues are the explorer's generation guard: a closed
      epoch's armed timers never fire. *)
   sys.inflight <-
     Array.init n_new (fun k ->
-        match map k with Some o -> sys.inflight.(o) | None -> []);
+        match Repro_member.Epoch_cut.source cut k with
+        | Some o -> sys.inflight.(o)
+        | None -> []);
   sys.timers <- Array.init n_new (fun _ -> Queue.create ());
-  sys.epoch <- epoch;
-  (* The joiner restores the very bytes the sponsor (lowest-ranked
-     survivor) would build for its rank — Group ships them as the
-     co-checkpoint-v1 state transfer. *)
-  let sponsor = match map 0 with Some o -> o | None -> assert false in
+  sys.epoch <- sys.epoch + 1;
   sys.entities <-
-    Array.init n_new (fun k ->
-        let basis =
-          match map k with Some o -> old.(o) | None -> old.(sponsor)
-        in
-        let blob =
-          Entity.bootstrap_checkpoint ~config:config' ~id:k ~n:n_new ~req:req'
-            ~headers:(headers_of basis)
-        in
-        match
-          Entity.restore ~expect_id:k ~expect_n:n_new ~config:config'
-            ~actions:(actions_for sys ~id:k ~view_n:n_new)
-            blob
-        with
-        | Ok e -> e
-        | Error err ->
-          invalid_arg
-            (Format.asprintf "Explorer: cut bootstrap rejected: %a"
-               Entity.pp_restore_error err));
+    Repro_member.Epoch_cut.rebuild cut ~old:sys.entities (fun ~rank restore ->
+        restore (actions_for sys ~id:rank ~view_n:n_new));
   for slot = 0 to monitor_slots sys.cfg - 1 do
     Invariants.Monitor.note_view_change sys.monitor ~entity:slot
   done;

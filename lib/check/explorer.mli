@@ -43,8 +43,9 @@
 
 (** The membership change a run may commit (at most one per run). [Leave l]
     removes epoch-0 rank [l] (higher ranks shift down); [Join] adds a new
-    member at the next view's last rank, bootstrapped by state transfer. *)
-type churn = Join | Leave of int
+    member at the next view's last rank, bootstrapped by state transfer.
+    The cut itself is {!Repro_member.Epoch_cut}'s. *)
+type churn = Repro_member.Epoch_cut.change = Join | Leave of int
 
 type config = {
   n : int;  (** Epoch-0 cluster size (2 or 3 are practical). *)

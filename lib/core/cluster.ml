@@ -48,8 +48,7 @@ type t = {
   deliver_ms : Repro_util.Stats.Acc.t;
   causality : Repro_clock.Causality.t;
   rev_data_keys : (int * int) list ref; (* data PDUs, newest first *)
-  lifecycle : Lifecycle.t option;
-  tracer : Trace_ctx.t option;
+  telemetry : Telemetry.t;
   (* Crash-stop support. [down.(i)] silences entity [i]: its receive handler
      discards, scheduled submissions are skipped, and every timer armed by
      any incarnation checks both flags before firing — a timer armed before
@@ -82,43 +81,19 @@ let create (config : config) =
   let deliver_ms = Repro_util.Stats.Acc.create () in
   let causality = Repro_clock.Causality.create ~n:config.n in
   let rev_data_keys = ref [] in
-  let lifecycle =
-    Option.map (fun reg -> Lifecycle.create ~registry:reg ()) config.instrument
-  in
-  let tracer =
-    if config.protocol.Config.tracing then
-      Some (Trace_ctx.create ~salt:(Trace_ctx.salt_of_seed ~seed:config.seed) ())
-    else None
+  let telemetry =
+    Telemetry.create ?registry:config.instrument ~seed:config.seed
+      config.protocol
   in
   let down = Array.make config.n false in
   let incarnation = Array.make config.n 0 in
   (* Every transmission round-trips through the configured wire codec
      before it enters the medium, so the simulated cluster exercises the
-     same encode/decode pair as the UDP transport: a codec bug shows up
-     in every sim test, and the wire-version switch is observable to the
-     differential suite. The round-trip is the identity on any PDU the
-     entities can legally produce. With tracing on, v2 DATA frames carry
-     the trace extension — the round-trip then also proves traced frames
-     decode to the same PDUs the protocol handed in. *)
-  let frame =
-    match (config.protocol.Config.wire, tracer) with
-    | Config.V1, _ -> Codec.encode
-    | Config.V2, None -> Codec.encode_v2
-    | Config.V2, Some tr -> (
-      let salt = Trace_ctx.salt tr in
-      fun pdu ->
-        match pdu with
-        | Pdu.Data d ->
-          Codec.encode_traced
-            ~ids:[| Trace_ctx.id ~salt ~src:d.src ~seq:d.seq |]
-            pdu
-        | Pdu.Ret _ | Pdu.Ctl _ -> Codec.encode_v2 pdu)
-  in
-  let wire_roundtrip pdu =
-    match Codec.decode_any (frame pdu) with
-    | Ok [ p ] -> p
-    | Ok _ | Error _ -> invalid_arg "Cluster: wire round-trip failed"
-  in
+     same encode/decode pair as the UDP transport. With tracing on, v2 DATA
+     frames carry the trace extension — the round-trip then also proves
+     traced frames decode to the same PDUs the protocol handed in. *)
+  let salt = Telemetry.salt telemetry in
+  let wire_roundtrip = Wire.roundtrip ?salt config.protocol.Config.wire in
   let build_entity checkpoint id =
         let record_first_send pdu =
           match pdu with
@@ -198,101 +173,7 @@ let create (config : config) =
             | Entity.Preacknowledged d -> latency d preack_ms
             | Entity.Acknowledged d -> latency d ack_ms
             | Entity.Gap_detected _ | Entity.Ret_answered _ -> ());
-        (* One probe serves both consumers: the lifecycle tracker (present
-           iff instrumented) and the trace recorder (present iff tracing).
-           Either alone installs the probe; with neither the sites stay on
-           the free no-probe path. *)
-        (if Option.is_some lifecycle || Option.is_some tracer then begin
-           let now () = Engine.now engine in
-           let received =
-             Option.map
-               (fun reg ->
-                 Registry.counter reg
-                   ~help:
-                     "Data PDUs received, including duplicates and \
-                      out-of-order"
-                   ~name:"co_pdus_received_total"
-                   [ ("entity", string_of_int id) ])
-               config.instrument
-           in
-           let backoff_h =
-             Option.map
-               (fun reg ->
-                 Registry.histogram reg
-                   ~help:
-                     "RET retry delay after each backoff step, microseconds"
-                   ~name:"co_ret_backoff_us"
-                   [ ("entity", string_of_int id) ])
-               config.instrument
-           in
-           let lc f = match lifecycle with Some l -> f l | None -> () in
-           let tr f = match tracer with Some t -> f t | None -> () in
-           let is_data d = not (Pdu.is_confirmation d) in
-           Entity.set_probe entity
-             {
-               Entity.on_submit =
-                 (fun () -> lc (fun l -> Lifecycle.submit l ~src:id ~now:(now ())));
-               on_transmit =
-                 (fun d ->
-                   lc (fun l ->
-                       Lifecycle.first_send l ~src:d.src ~seq:d.seq
-                         ~data:(is_data d) ~now:(now ()));
-                   if is_data d then
-                     tr (fun t ->
-                         Trace_ctx.on_send t ~src:d.src ~seq:d.seq
-                           ~now:(now ())));
-               on_receive =
-                 (fun d ->
-                   (match received with Some c -> Registry.inc c | None -> ());
-                   if is_data d then
-                     tr (fun t ->
-                         Trace_ctx.on_receive t ~entity:id ~src:d.src
-                           ~seq:d.seq ~now:(now ())));
-               on_park =
-                 (fun d ->
-                   if is_data d then
-                     tr (fun t ->
-                         Trace_ctx.on_park t ~entity:id ~src:d.src ~seq:d.seq));
-               on_accept =
-                 (fun d ->
-                   lc (fun l ->
-                       Lifecycle.accept l ~entity:id ~src:d.src ~seq:d.seq
-                         ~data:(is_data d) ~now:(now ()));
-                   if is_data d then
-                     tr (fun t ->
-                         Trace_ctx.on_accept t ~entity:id ~src:d.src
-                           ~seq:d.seq ~now:(now ())));
-               on_preack =
-                 (fun d ->
-                   lc (fun l ->
-                       Lifecycle.preack l ~entity:id ~src:d.src ~seq:d.seq
-                         ~data:(is_data d) ~now:(now ()));
-                   if is_data d then
-                     tr (fun t ->
-                         Trace_ctx.on_preack t ~entity:id ~src:d.src
-                           ~seq:d.seq ~now:(now ())));
-               on_ack =
-                 (fun d ->
-                   lc (fun l ->
-                       Lifecycle.ack l ~entity:id ~src:d.src ~seq:d.seq
-                         ~data:(is_data d) ~now:(now ())));
-               on_deliver =
-                 (fun d ->
-                   lc (fun l ->
-                       Lifecycle.deliver l ~entity:id ~src:d.src ~seq:d.seq
-                         ~now:(now ()));
-                   tr (fun t ->
-                       Trace_ctx.on_deliver t ~entity:id ~src:d.src ~seq:d.seq
-                         ~now:(now ())));
-               on_deliver_batch =
-                 (fun size -> lc (fun l -> Lifecycle.deliver_batch l ~size));
-               on_ret_backoff =
-                 (fun delay ->
-                   match backoff_h with
-                   | Some h -> Registry.observe h delay
-                   | None -> ());
-             }
-         end);
+        Telemetry.attach telemetry ~id ~now:(fun () -> Engine.now engine) entity;
         entity
   in
   let entities = Array.init config.n (build_entity None) in
@@ -315,8 +196,7 @@ let create (config : config) =
     deliver_ms;
     causality;
     rev_data_keys;
-    lifecycle;
-    tracer;
+    telemetry;
     down;
     incarnation;
     checkpoints = Array.make config.n None;
@@ -352,13 +232,11 @@ let crash t ~id =
   (* Open telemetry spans die with the incarnation: abandon them (tagged
      with the incarnation that was running) so post-restart ladder stamps
      can never stitch onto pre-crash spans. *)
-  (match t.lifecycle with
-  | Some lc ->
-    Lifecycle.abandon_entity lc ~entity:id ~incarnation:t.incarnation.(id)
-  | None -> ());
-  (match t.tracer with
-  | Some tr -> Trace_ctx.abandon_entity tr ~entity:id
-  | None -> ());
+  Option.iter
+    (fun lc ->
+      Lifecycle.abandon_entity lc ~entity:id ~incarnation:t.incarnation.(id))
+    t.telemetry.lifecycle;
+  Option.iter (Trace_ctx.abandon_entity ~entity:id) t.telemetry.tracer;
   t.down.(id) <- true;
   t.incarnation.(id) <- t.incarnation.(id) + 1;
   Trace.record (Network.trace t.net)
@@ -372,9 +250,7 @@ let restart t ~id =
   t.down.(id) <- false;
   (* Keep the recorder's incarnation counter in lockstep with the
      cluster's (both crash and restart bump it). *)
-  (match t.tracer with
-  | Some tr -> Trace_ctx.abandon_entity tr ~entity:id
-  | None -> ());
+  Option.iter (Trace_ctx.abandon_entity ~entity:id) t.telemetry.tracer;
   let entity = t.rebuild id t.checkpoints.(id) in
   t.entities.(id) <- entity;
   Trace.record (Network.trace t.net)
@@ -398,8 +274,8 @@ let aggregate_metrics t =
   acc
 
 let entity_metrics t i = Entity.metrics t.entities.(i)
-let lifecycle t = t.lifecycle
-let tracer t = t.tracer
+let lifecycle t = t.telemetry.lifecycle
+let tracer t = t.telemetry.tracer
 let registry t = t.config.instrument
 
 let sync_metrics t =

@@ -63,8 +63,10 @@ type fault =
 type wire_version =
   | V1
       (** PR-3 fixed-width big-endian codec: 4 bytes per ACK component,
-          one PDU per datagram. Kept for rollout interoperability; the
-          ingress path decodes either version regardless of this switch. *)
+          one PDU per datagram. Kept as the paper-literal reference (E5
+          header sizes, the v1-vs-v2 differential suite); the simulated
+          hosts frame with it, the UDP transport rejects it. Ingress
+          decodes either version regardless of this switch. *)
   | V2
       (** Compressed codec (DESIGN.md §14): varint fields, delta-encoded
           ACK vectors, multiple DATA PDUs batched per datagram under one
@@ -116,9 +118,9 @@ type t = {
   check_level : check_level;
   fault : fault option;  (** Fault injection for checker self-tests. *)
   wire : wire_version;
-      (** Which codec this node {e encodes} with; decoding always accepts
-          both versions, so mixed-wire clusters interoperate during a
-          rollout. The switch never changes protocol decisions — the
+      (** Which codec transmissions are framed with; decoding always
+          accepts both versions. The switch never changes protocol
+          decisions — the
           differential wire-equivalence suite holds v1 and v2 runs
           observationally equal. *)
   tracing : bool;
@@ -127,8 +129,8 @@ type t = {
           receipt ladder. Costs 8 bytes per DATA item on the wire when
           on; when off the encoded frames are byte-identical to
           untraced v2 and the probes never fire. Decoding always
-          accepts traced frames, so traced and untraced nodes
-          interoperate. Like [wire], never changes protocol decisions:
+          accepts traced frames. Like [wire], never changes protocol
+          decisions:
           the tracing-equivalence suite holds traced and untraced runs
           observationally equal. *)
 }

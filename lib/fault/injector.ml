@@ -137,12 +137,9 @@ let on_pdu t ~dst ~src pdu =
        protocol, so let it render the verdict. The frame matches the
        configured wire version; decoding dispatches on the version byte
        as the real ingress path does. *)
-    let frame =
-      match t.wire with
-      | Config.V1 -> Codec.encode
-      | Config.V2 -> Codec.encode_v2
-    in
-    match Codec.decode_any (flip_random_bit t (frame pdu)) with
+    match
+      Codec.decode_any (flip_random_bit t (Repro_core.Wire.frame t.wire pdu))
+    with
     | Error _ ->
       t.corrupt_dropped <- t.corrupt_dropped + 1;
       []

@@ -36,11 +36,6 @@ let default_config ~max_nodes =
     registry = None;
   }
 
-(* Effective cluster id of one epoch. Injective in (cid, epoch) for
-   epoch < 2^20, and never 0-colliding with a different base cid, so the
-   entity's receive-path cid guard is exactly the epoch guard. *)
-let epoch_cid ~cid ~epoch = (cid lsl 20) lor (epoch + 1)
-
 (* Coordinator-side barrier for one view change. *)
 type barrier = {
   b_change : Memberwire.change;
@@ -127,14 +122,7 @@ let m_evict t =
    codec, exactly like Cluster does for the data plane.                *)
 
 let proto_roundtrip t pdu =
-  let frame =
-    match t.config.protocol.Config.wire with
-    | Config.V1 -> Codec.encode pdu
-    | Config.V2 -> Codec.encode_v2 pdu
-  in
-  match Codec.decode_any frame with
-  | Ok [ p ] -> p
-  | Ok _ | Error _ -> invalid_arg "Group: data-plane wire round-trip failed"
+  Repro_core.Wire.roundtrip t.config.protocol.Config.wire pdu
 
 let control_roundtrip frame =
   match Memberwire.decode (Memberwire.encode frame) with
@@ -149,12 +137,7 @@ let ucast_control t ~src ~dst frame =
 
 let base_cid t = t.config.protocol.Config.cid
 
-let entity_config t ~epoch =
-  {
-    t.config.protocol with
-    Config.cid = epoch_cid ~cid:(base_cid t) ~epoch;
-    epoch;
-  }
+let entity_config t ~epoch = Epoch_cut.config ~base:t.config.protocol ~epoch
 
 (* ------------------------------------------------------------------ *)
 (* Entity installation                                                 *)
@@ -189,16 +172,8 @@ let install t nd ~view ~rank ~via =
   let e =
     match via with
     | `Create -> Entity.create ~config ~id:rank ~n:(View.size view) ~actions
-    | `Restore blob -> (
-      match
-        Entity.restore ~expect_id:rank ~expect_n:(View.size view) ~config
-          ~actions blob
-      with
-      | Ok e -> e
-      | Error err ->
-        failwith
-          (Format.asprintf "Group: node %d rejected epoch-%d bootstrap: %a"
-             nd.gid view.View.epoch Entity.pp_restore_error err))
+    | `Restore blob ->
+      Epoch_cut.restore ~config ~rank ~n:(View.size view) ~actions blob
   in
   nd.entity <- Some e;
   nd.view <- Some view;
@@ -450,44 +425,6 @@ let begin_transfer t nd ~target frame =
 (* ------------------------------------------------------------------ *)
 (* Epoch cut-over (everyone, on Commit)                                *)
 
-(* Translate the closing epoch's converged state into the next view's rank
-   space: REQ carries over per surviving source (a joiner's column starts
-   at 1), and the accepted-header table is re-homed the same way so
-   Transitive-mode reach computation keeps terminating across the cut. *)
-let translate ~closing ~next ~cut e =
-  let n_old = View.size closing in
-  let n_new = View.size next in
-  let r_final =
-    Array.init n_old (fun k ->
-        Array.fold_left (fun acc row -> max acc row.(k)) 1 cut)
-  in
-  let map = View.rank_map ~closing ~next in
-  let req' =
-    Array.init n_new (fun r ->
-        match map r with Some o -> r_final.(o) | None -> 1)
-  in
-  let inv = Array.make n_old (-1) in
-  for r = 0 to n_new - 1 do
-    match map r with Some o -> inv.(o) <- r | None -> ()
-  done;
-  let remap_vec v =
-    Array.init n_new (fun r -> match map r with Some o -> v.(o) | None -> 1)
-  in
-  let headers =
-    (* Quiesced entities keep confirming while the coordinator converges,
-       so the table can hold entries at or above the cut — empty sequenced
-       confirmations the commit uniformly forgets (every member restarts
-       from the same REQ, and senders reuse those numbers in the new
-       epoch). Only the sub-cut history crosses the boundary. *)
-    List.filter_map
-      (fun (src, seq, ack) ->
-        if inv.(src) >= 0 && seq < r_final.(src) then
-          Some (inv.(src), seq, remap_vec ack)
-        else None)
-      (Entity.header_entries e)
-  in
-  (req', headers)
-
 let handle_commit t nd (next : View.t) cut =
   match (nd.view, nd.entity) with
   | Some v, Some e when v.View.epoch + 1 = next.View.epoch ->
@@ -515,23 +452,24 @@ let handle_commit t nd (next : View.t) cut =
         failwith
           (Printf.sprintf
              "Group: node %d crossed the barrier with unflushed state" nd.gid);
-      let req', headers' = translate ~closing:v ~next ~cut e in
+      let r_final =
+        Array.init n_old (fun k ->
+            Array.fold_left (fun acc row -> max acc row.(k)) 1 cut)
+      in
+      let epoch_cut =
+        Epoch_cut.make ~base:t.config.protocol ~closing:v ~next ~req:r_final
+      in
       (match View.rank next ~node:nd.gid with
       | Some r ->
-        let blob =
-          Entity.bootstrap_checkpoint
-            ~config:(entity_config t ~epoch:next.View.epoch)
-            ~id:r ~n:(View.size next) ~req:req' ~headers:headers'
-        in
-        install t nd ~view:next ~rank:r ~via:(`Restore blob);
+        install t nd ~view:next ~rank:r
+          ~via:(`Restore (Epoch_cut.blob epoch_cut ~rank:r ~basis:e));
         Entity.kick (Option.get nd.entity)
       | None ->
         (* We left (or were evicted while still listening): retire. *)
         drop_membership t nd);
       if next.View.epoch > t.latest.View.epoch then t.latest <- next;
       (* Sponsor duty: the lowest-id survivor ships each joiner its
-         bootstrap blob. Built from the same (req', headers') every
-         survivor computes — the joiner restores byte-identical state. *)
+         bootstrap blob, built from the same cut every survivor computes. *)
       Array.iter
         (fun g ->
           if not (View.mem v g) then begin
@@ -539,11 +477,7 @@ let handle_commit t nd (next : View.t) cut =
             if sponsor = nd.gid then begin
               match View.rank next ~node:g with
               | Some jr ->
-                let jblob =
-                  Entity.bootstrap_checkpoint
-                    ~config:(entity_config t ~epoch:next.View.epoch)
-                    ~id:jr ~n:(View.size next) ~req:req' ~headers:headers'
-                in
+                let jblob = Epoch_cut.blob epoch_cut ~rank:jr ~basis:e in
                 begin_transfer t nd ~target:g
                   (Memberwire.State
                      {

@@ -84,11 +84,6 @@ val default_config : max_nodes:int -> config
 (** Uniform 1ms topology, inbox 64, service time scaled to [max_nodes], no
     loss, 5ms control period, no registry. *)
 
-val epoch_cid : cid:int -> epoch:int -> int
-(** The effective cluster id of epoch [epoch] under base cluster id [cid]
-    — injective per (base, epoch < 2^20), never equal to another epoch's,
-    so the entity-level cid guard doubles as the epoch guard. *)
-
 type t
 
 val create : config -> initial:int array -> t

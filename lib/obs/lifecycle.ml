@@ -177,6 +177,8 @@ let abandon_entity t ~entity ~incarnation =
         Registry.inc c)
       stale)
 
+let new_epoch t = Hashtbl.reset t.send_at
+
 let spans_abandoned t = t.abandoned
 
 type ladder = {

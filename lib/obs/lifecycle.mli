@@ -71,6 +71,14 @@ val abandon_entity : t -> entity:int -> incarnation:int -> unit
     than flagged as span errors, but they never reopen or close a
     span. *)
 
+val new_epoch : t -> unit
+(** A membership cut re-homed the ranks: forget every first-send stamp.
+    New-epoch PDUs reuse [(src, seq)] keys — a rank shifted down by a
+    leave continues its own numbering under the departed rank's [src] —
+    and must not inherit the closed epoch's send times. Call only at a
+    reconciled cut (no span open); the cid guard fences every older
+    PDU, so no closed-epoch stamp is looked up again. *)
+
 (** {2 Results} *)
 
 type ladder = {

@@ -149,6 +149,10 @@ let abandon_entity t ~entity =
     stale;
   Hashtbl.replace t.incarnation entity (incarnation_of t entity + 1)
 
+let new_epoch t =
+  Hashtbl.reset t.send_at;
+  Hashtbl.reset t.partials
+
 let spans t = List.rev t.rev_spans
 let span_count t = t.count
 let abandoned t = t.abandoned

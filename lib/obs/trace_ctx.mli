@@ -81,6 +81,13 @@ val abandon_entity : t -> entity:int -> unit
     never stitch onto pre-crash ones. Call once per crash {e and} once
     per restart, mirroring the cluster's incarnation counter. *)
 
+val new_epoch : t -> unit
+(** A membership cut re-homed the ranks: forget every send stamp and
+    partial span. New-epoch PDUs reuse [(src, seq)] keys (see
+    {!Lifecycle.new_epoch}), and a reconciled cut has delivered every
+    data PDU, so the only partials left are first-receive stubs of
+    duplicates. The cid guard fences every older PDU. *)
+
 val spans : t -> span list
 (** Completed spans, in completion order. *)
 

@@ -555,8 +555,8 @@ let decode_v2t_ids buf =
   | exception Invalid_argument msg -> Error (Invalid msg)
 
 (* Version dispatch: v1 kind bytes are 0/1/2, so the 0xB2/0xB3 version
-   bytes never collide and a mixed-version cluster can decode whatever
-   arrives — traced frames included, ids discarded. *)
+   bytes never collide and ingress can decode whatever arrives — traced
+   frames included, ids discarded. *)
 let decode_any buf =
   if Bytes.length buf = 0 then Error Truncated
   else

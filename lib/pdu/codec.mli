@@ -17,7 +17,7 @@
     fixed-width fields with LEB128 varints, delta-encodes ACK vectors
     against a chained base, and batches multiple DATA PDUs per datagram
     under one shared header; {!decode_any} dispatches on the first byte so
-    both formats coexist on one wire during rollout. *)
+    ingress accepts both formats. *)
 
 type error =
   | Truncated  (** Fewer bytes than the layout requires. *)
@@ -76,9 +76,8 @@ val decode_any : bytes -> (Pdu.t list, error) result
 (** Version dispatch on the first byte: 0xB2 frames go to {!decode_v2},
     0xB3 traced frames are decoded with their trace ids validated and
     discarded, anything else goes to the v1 {!decode} (v1 kind bytes
-    are 0/1/2, so the formats cannot collide). The mixed-version
-    ingress path — traced and untraced nodes interoperate through
-    it. *)
+    are 0/1/2, so the formats cannot collide). Every ingress path
+    decodes through it, whatever the sender framed with. *)
 
 val encoded_size_v2 : Pdu.t -> int
 (** Byte length {!encode_v2} will produce, without encoding. *)

@@ -3,10 +3,11 @@ module Config = Repro_core.Config
 module Pdu = Repro_pdu.Pdu
 module Codec = Repro_pdu.Codec
 module Simtime = Repro_sim.Simtime
-module Lifecycle = Repro_obs.Lifecycle
 module Registry = Repro_obs.Registry
 module Wirestats = Repro_obs.Wirestats
 module Trace_ctx = Repro_obs.Trace_ctx
+module Telemetry = Repro_core.Telemetry
+module Epoch_cut = Repro_member.Epoch_cut
 module Monoclock = Repro_util.Monoclock
 
 type timer = { at : Simtime.t; fn : unit -> unit }
@@ -21,10 +22,6 @@ type node = {
   socket : Unix.file_descr;
   addr : Unix.sockaddr;
   entity : Entity.t;
-  wire : Config.wire_version;  (** Codec this node frames egress with. *)
-  traced : bool;
-      (** Attach trace ids to this node's v2 DATA frames (no effect on a
-          v1 node — the v1 layout has no extension point). *)
   out : (dest * Pdu.t) Queue.t;  (** Egress queue, drained by [flush]. *)
   mutable rev_delivered : Pdu.data list;
 }
@@ -62,9 +59,7 @@ type t = {
   mutable closed : bool;
   mutable fault_hook : (dst:int -> src:int -> bytes -> bytes list) option;
   mutable faulted : int;
-  registry : Registry.t option;
-  lifecycle : Lifecycle.t option;
-  tracer : Trace_ctx.t option;
+  telemetry : Telemetry.t;
 }
 
 (* Monotonic microseconds since cluster creation, as the entities'
@@ -75,9 +70,6 @@ let now_us t = Monoclock.now_us () - t.started_at_mono
 let payload_bytes = function
   | Pdu.Data d -> String.length d.Pdu.payload
   | Pdu.Ret _ | Pdu.Ctl _ -> 0
-
-let frame_one wire pdu =
-  match wire with Config.V1 -> Codec.encode pdu | Config.V2 -> Codec.encode_v2 pdu
 
 let send_datagram t node ~dst bytes ~pdus ~payload =
   t.sent <- t.sent + 1;
@@ -94,13 +86,11 @@ let ship t node dest bytes ~pdus ~payload =
     done
   | One dst -> send_datagram t node ~dst bytes ~pdus ~payload
 
-(* A traced node attaches the deterministic trace id of each DATA item
-   to its v2 batches (0xB3 frames); untraced and v1 nodes are
-   byte-identical to before. *)
-let encode_batch t node batch =
-  match (node.traced, t.tracer) with
-  | true, Some tr ->
-    let salt = Trace_ctx.salt tr in
+(* With tracing on, each DATA batch carries the deterministic trace id of
+   every item (0xB3 frames); untraced batches are plain 0xB2. *)
+let encode_batch t batch =
+  match Telemetry.salt t.telemetry with
+  | Some salt ->
     let ids =
       Array.of_list
         (List.map
@@ -108,14 +98,13 @@ let encode_batch t node batch =
            batch)
     in
     Codec.encode_data_batch_traced ~ids batch
-  | true, None | false, _ -> Codec.encode_data_batch_v2 batch
+  | None -> Codec.encode_data_batch_v2 batch
 
 (* Drain one node's egress queue: coalesce consecutive DATA runs to the
-   same destination into a single v2 batch datagram (v1 nodes frame each
-   PDU alone), collect the loopback self-copies, ship everything, then
-   hand the self-copies to the entity in one batch. Processing those may
-   enqueue more output (confirmations, RET answers), so loop until the
-   queue stays empty. *)
+   same destination into a single v2 batch datagram, collect the loopback
+   self-copies, ship everything, then hand the self-copies to the entity
+   in one batch. Processing those may enqueue more output (confirmations,
+   RET answers), so loop until the queue stays empty. *)
 let rec flush_node t node =
   if not (Queue.is_empty node.out) then begin
     let items = List.of_seq (Queue.to_seq node.out) in
@@ -124,7 +113,7 @@ let rec flush_node t node =
     let loopback pdu = rev_self := pdu :: !rev_self in
     let rec walk = function
       | [] -> ()
-      | (dest, Pdu.Data d) :: rest when node.wire = Config.V2 ->
+      | (dest, Pdu.Data d) :: rest ->
         let rec take acc payload count = function
           | (dest', Pdu.Data d') :: tail
             when dest' = dest && count < max_batch_pdus
@@ -142,7 +131,7 @@ let rec flush_node t node =
         | One dst when dst = node.id ->
           List.iter (fun d -> loopback (Pdu.Data d)) batch
         | All | One _ ->
-          let bytes = encode_batch t node batch in
+          let bytes = encode_batch t batch in
           ship t node dest bytes ~pdus:(List.length batch) ~payload;
           if dest = All then List.iter (fun d -> loopback (Pdu.Data d)) batch);
         walk rest
@@ -150,7 +139,7 @@ let rec flush_node t node =
         (match dest with
         | One dst when dst = node.id -> loopback pdu
         | All | One _ ->
-          let bytes = frame_one node.wire pdu in
+          let bytes = Codec.encode_v2 pdu in
           ship t node dest bytes ~pdus:1 ~payload:(payload_bytes pdu);
           if dest = All then loopback pdu);
         walk rest
@@ -169,8 +158,9 @@ let flush_all t = Array.iter (fun node -> flush_node t node) t.nodes
    indirect because epoch-0 nodes are built before the cluster record
    exists; timers always read [t.timers] at arm time, so they land in the
    current epoch's queue. *)
-let make_node (t_ref : t option ref) ~id ~socket ~addr ~wire ~traced
+let make_node (t_ref : t option ref) ~telemetry ~id ~socket ~addr
     ~initial_buf ~rev_delivered make =
+  let now () = now_us (Option.get !t_ref) in
   let rec node =
     lazy
       (let actions =
@@ -183,7 +173,7 @@ let make_node (t_ref : t option ref) ~id ~socket ~addr ~wire ~traced
              (fun d ->
                let node = Lazy.force node in
                node.rev_delivered <- d :: node.rev_delivered);
-           now = (fun () -> now_us (Option.get !t_ref));
+           now;
            set_timer =
              (fun ~delay fn ->
                let t = Option.get !t_ref in
@@ -191,150 +181,39 @@ let make_node (t_ref : t option ref) ~id ~socket ~addr ~wire ~traced
            available_buffer = (fun () -> initial_buf);
          }
        in
-       {
-         id;
-         socket;
-         addr;
-         entity = make actions;
-         wire;
-         traced;
-         out = Queue.create ();
-         rev_delivered;
-       })
+       let entity = make actions in
+       (* Monotonic µs since creation for every stamp (see [now_us]). The
+          [entity] label is the node's rank, which remaps across epochs. *)
+       Telemetry.attach telemetry ~id ~now entity;
+       { id; socket; addr; entity; out = Queue.create (); rev_delivered })
   in
   Lazy.force node
 
-(* Monotonic µs since creation for every stamp (see [now_us]); the probe
-   serves the lifecycle tracker (iff instrumented) and the trace recorder
-   (iff tracing), like the simulated cluster's. Re-applied to the fresh
-   entities after a view change — note the [entity] label is the node's
-   {e rank}, which remaps across epochs. *)
-let attach_probe t node =
-  let id = node.id in
-  let received =
-    Option.map
-      (fun reg ->
-        Registry.counter reg
-          ~help:"Data PDUs received, including duplicates and out-of-order"
-          ~name:"co_pdus_received_total"
-          [ ("entity", string_of_int id) ])
-      t.registry
-  in
-  let now () = now_us t in
-  let backoff_h =
-    Option.map
-      (fun reg ->
-        Registry.histogram reg
-          ~help:"RET retry delay after each backoff step, microseconds"
-          ~name:"co_ret_backoff_us"
-          [ ("entity", string_of_int id) ])
-      t.registry
-  in
-  let lc f = match t.lifecycle with Some l -> f l | None -> () in
-  let tr f = match t.tracer with Some r -> f r | None -> () in
-  let is_data d = not (Pdu.is_confirmation d) in
-  Entity.set_probe node.entity
-    {
-      Entity.on_submit =
-        (fun () -> lc (fun l -> Lifecycle.submit l ~src:id ~now:(now ())));
-      on_transmit =
-        (fun d ->
-          lc (fun l ->
-              Lifecycle.first_send l ~src:d.src ~seq:d.seq ~data:(is_data d)
-                ~now:(now ()));
-          if is_data d then
-            tr (fun r -> Trace_ctx.on_send r ~src:d.src ~seq:d.seq ~now:(now ())));
-      on_receive =
-        (fun d ->
-          (match received with Some c -> Registry.inc c | None -> ());
-          if is_data d then
-            tr (fun r ->
-                Trace_ctx.on_receive r ~entity:id ~src:d.src ~seq:d.seq
-                  ~now:(now ())));
-      on_park =
-        (fun d ->
-          if is_data d then
-            tr (fun r -> Trace_ctx.on_park r ~entity:id ~src:d.src ~seq:d.seq));
-      on_accept =
-        (fun d ->
-          lc (fun l ->
-              Lifecycle.accept l ~entity:id ~src:d.src ~seq:d.seq
-                ~data:(is_data d) ~now:(now ()));
-          if is_data d then
-            tr (fun r ->
-                Trace_ctx.on_accept r ~entity:id ~src:d.src ~seq:d.seq
-                  ~now:(now ())));
-      on_preack =
-        (fun d ->
-          lc (fun l ->
-              Lifecycle.preack l ~entity:id ~src:d.src ~seq:d.seq
-                ~data:(is_data d) ~now:(now ()));
-          if is_data d then
-            tr (fun r ->
-                Trace_ctx.on_preack r ~entity:id ~src:d.src ~seq:d.seq
-                  ~now:(now ())));
-      on_ack =
-        (fun d ->
-          lc (fun l ->
-              Lifecycle.ack l ~entity:id ~src:d.src ~seq:d.seq
-                ~data:(is_data d) ~now:(now ())));
-      on_deliver =
-        (fun d ->
-          lc (fun l ->
-              Lifecycle.deliver l ~entity:id ~src:d.src ~seq:d.seq
-                ~now:(now ()));
-          tr (fun r ->
-              Trace_ctx.on_deliver r ~entity:id ~src:d.src ~seq:d.seq
-                ~now:(now ())));
-      on_deliver_batch =
-        (fun size -> lc (fun l -> Lifecycle.deliver_batch l ~size));
-      on_ret_backoff =
-        (fun delay ->
-          match backoff_h with
-          | Some h -> Registry.observe h delay
-          | None -> ());
-    }
+let bind_loopback () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.set_nonblock fd;
+  fd
 
-let create ?registry ?(loss = 0.) ?(seed = 0) ?(config = Config.default) ?wires
-    ?traced ~n () =
+let create ?registry ?(loss = 0.) ?(seed = 0) ?(config = Config.default) ~n ()
+    =
   if n < 2 then invalid_arg "Udp_cluster.create: n must be >= 2";
   if loss < 0. || loss > 1. then invalid_arg "Udp_cluster.create: loss";
   Config.validate config;
-  let wires =
-    match wires with
-    | None -> Array.make n config.Config.wire
-    | Some w ->
-      if Array.length w <> n then invalid_arg "Udp_cluster.create: wires";
-      Array.copy w
-  in
-  let traced =
-    match traced with
-    | None -> Array.make n config.Config.tracing
-    | Some tr ->
-      if Array.length tr <> n then invalid_arg "Udp_cluster.create: traced";
-      Array.copy tr
-  in
-  let sockets =
-    Array.init n (fun _ ->
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
-        Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-        Unix.set_nonblock fd;
-        fd)
-  in
+  if config.Config.wire = Config.V1 then
+    invalid_arg "Udp_cluster.create: egress is v2 only (config.wire = V1)";
+  let sockets = Array.init n (fun _ -> bind_loopback ()) in
   let addrs = Array.map Unix.getsockname sockets in
   let timers =
     Repro_util.Pqueue.create ~cmp:(fun a b -> Simtime.compare a.at b.at)
   in
+  let telemetry = Telemetry.create ?registry ~seed config in
   let t_ref = ref None in
   let nodes =
     Array.init n (fun id ->
-        make_node t_ref ~id ~socket:sockets.(id) ~addr:addrs.(id)
-          ~wire:wires.(id) ~traced:traced.(id)
+        make_node t_ref ~telemetry ~id ~socket:sockets.(id) ~addr:addrs.(id)
           ~initial_buf:config.Config.initial_buf ~rev_delivered:[]
           (fun actions -> Entity.create ~config ~id ~n ~actions))
-  in
-  let uniform =
-    Array.for_all (fun w -> w = wires.(0)) wires
   in
   let t =
     {
@@ -349,28 +228,17 @@ let create ?registry ?(loss = 0.) ?(seed = 0) ?(config = Config.default) ?wires
       started_at_mono = Monoclock.now_us ();
       started_at_wall = Unix.gettimeofday ();
       buf = Bytes.create 65536;
-      wirestats =
-        Wirestats.create
-          ~wire:(if uniform then Config.wire_name wires.(0) else "mixed");
+      wirestats = Wirestats.create ~wire:(Config.wire_name config.Config.wire);
       sent = 0;
       dropped = 0;
       decode_errors = 0;
       closed = false;
       fault_hook = None;
       faulted = 0;
-      registry;
-      lifecycle =
-        Option.map (fun reg -> Lifecycle.create ~registry:reg ()) registry;
-      tracer =
-        (if config.Config.tracing || Array.exists Fun.id traced then
-           Some
-             (Trace_ctx.create ~salt:(Trace_ctx.salt_of_seed ~seed) ())
-         else None);
+      telemetry;
     }
   in
   t_ref := Some t;
-  (if Option.is_some t.lifecycle || Option.is_some t.tracer then
-     Array.iter (attach_probe t) t.nodes);
   t
 
 let size t = t.n
@@ -524,97 +392,42 @@ let commit_view_change t change =
        (run_until_quiescent)"
   else begin
     let old = t.nodes in
-    let n_old = t.n in
-    let r = Entity.req old.(0).entity in
-    let epoch = t.epoch + 1 in
-    let n_new, map =
-      match change with
-      | Add_node -> (n_old + 1, fun k -> if k < n_old then Some k else None)
-      | Remove_node l -> (n_old - 1, fun k -> Some (if k < l then k else k + 1))
+    let cut =
+      Epoch_cut.in_rank_space ~base:t.base_config ~epoch:t.epoch ~n:t.n
+        (match change with
+        | Add_node -> Epoch_cut.Join
+        | Remove_node l -> Epoch_cut.Leave l)
+        ~req:(Entity.req old.(0).entity)
     in
-    let inv = Array.make n_old (-1) in
-    for k = 0 to n_new - 1 do
-      match map k with Some o -> inv.(o) <- k | None -> ()
-    done;
-    let req' =
-      Array.init n_new (fun k -> match map k with Some o -> r.(o) | None -> 1)
-    in
-    let remap_vec v =
-      Array.init n_new (fun k -> match map k with Some o -> v.(o) | None -> 1)
-    in
-    (* Mirror of the membership layer's translate: only the sub-cut history
-       of surviving sources crosses the boundary, re-homed into the new
-       rank space. *)
-    let headers_of e =
-      List.filter_map
-        (fun (src, seq, ack) ->
-          if inv.(src) >= 0 && seq < r.(src) then
-            Some (inv.(src), seq, remap_vec ack)
-          else None)
-        (Entity.header_entries e)
-    in
-    let config' =
-      {
-        t.base_config with
-        Config.cid =
-          Repro_member.Group.epoch_cid ~cid:t.base_config.Config.cid ~epoch;
-        epoch;
-      }
-    in
+    let n_new = Epoch_cut.size cut in
     (* Abandoning the timer queue is the generation guard (see [t.timers]);
        the fresh entities re-arm from [kick] below. *)
     t.timers <-
       Repro_util.Pqueue.create ~cmp:(fun a b -> Simtime.compare a.at b.at);
-    t.epoch <- epoch;
+    t.epoch <- t.epoch + 1;
     t.view_changes <- t.view_changes + 1;
     let t_ref = ref (Some t) in
-    (* The joiner restores the very bytes its sponsor (the lowest-ranked
-       survivor) would build for its rank — the co-checkpoint-v1 state
-       transfer, here shipped in-process since the joiner's socket is born
-       on this host. *)
-    let sponsor = match map 0 with Some o -> o | None -> assert false in
+    (* The joiner restores its sponsor's bytes — the co-checkpoint-v1
+       state transfer, here shipped in-process since the joiner's socket
+       is born on this host. *)
     t.nodes <-
-      Array.init n_new (fun k ->
-          let socket, addr, wire, traced, rev_delivered =
-            match map k with
+      Epoch_cut.rebuild ~telemetry:t.telemetry cut
+        ~old:(Array.map (fun node -> node.entity) old)
+        (fun ~rank restore ->
+          let socket, addr, rev_delivered =
+            match Epoch_cut.source cut rank with
             | Some o ->
               (* Survivors keep their sockets: datagrams already in their
                  kernel buffers become the stale stragglers the cid guard
                  must fence. Delivery history continues across epochs. *)
-              ( old.(o).socket,
-                old.(o).addr,
-                old.(o).wire,
-                old.(o).traced,
-                old.(o).rev_delivered )
+              (old.(o).socket, old.(o).addr, old.(o).rev_delivered)
             | None ->
-              let fd = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
-              Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-              Unix.set_nonblock fd;
-              ( fd,
-                Unix.getsockname fd,
-                t.base_config.Config.wire,
-                t.base_config.Config.tracing,
-                [] )
+              let fd = bind_loopback () in
+              (fd, Unix.getsockname fd, [])
           in
-          let basis =
-            match map k with Some o -> old.(o).entity | None -> old.(sponsor).entity
-          in
-          let blob =
-            Entity.bootstrap_checkpoint ~config:config' ~id:k ~n:n_new
-              ~req:req' ~headers:(headers_of basis)
-          in
-          make_node t_ref ~id:k ~socket ~addr ~wire ~traced
-            ~initial_buf:config'.Config.initial_buf ~rev_delivered
-            (fun actions ->
-              match
-                Entity.restore ~expect_id:k ~expect_n:n_new ~config:config'
-                  ~actions blob
-              with
-              | Ok e -> e
-              | Error err ->
-                invalid_arg
-                  (Format.asprintf "Udp_cluster: cut bootstrap rejected: %a"
-                     Entity.pp_restore_error err)));
+          make_node t_ref ~telemetry:t.telemetry ~id:rank ~socket ~addr
+            ~initial_buf:t.base_config.Config.initial_buf ~rev_delivered
+            restore);
     t.n <- n_new;
     (match change with
     | Remove_node l -> (
@@ -623,8 +436,6 @@ let commit_view_change t change =
          member still needs them). *)
       try Unix.close old.(l).socket with Unix.Unix_error _ -> ())
     | Add_node -> ());
-    (if Option.is_some t.lifecycle || Option.is_some t.tracer then
-       Array.iter (attach_probe t) t.nodes);
     Array.iter (fun node -> Entity.kick node.entity) t.nodes;
     flush_all t;
     Ok ()
@@ -648,13 +459,13 @@ let datagrams_sent t = t.sent
 let datagrams_dropped t = t.dropped
 let datagrams_faulted t = t.faulted
 let decode_errors t = t.decode_errors
-let lifecycle t = t.lifecycle
-let tracer t = t.tracer
+let lifecycle t = t.telemetry.lifecycle
+let tracer t = t.telemetry.tracer
 let started_at_wall t = t.started_at_wall
 let wirestats t = t.wirestats
 
 let sync_registry t =
-  match t.registry with
+  match t.telemetry.registry with
   | None -> ()
   | Some reg ->
     Array.iter

@@ -18,8 +18,6 @@ val create :
   ?loss:float ->
   ?seed:int ->
   ?config:Repro_core.Config.t ->
-  ?wires:Repro_core.Config.wire_version array ->
-  ?traced:bool array ->
   n:int ->
   unit ->
   t
@@ -31,22 +29,18 @@ val create :
     {!sync_registry}); the one wall-clock stamp the cluster keeps is
     {!started_at_wall}, for log headers.
 
-    [wires] sets the codec version each node {e frames egress with}
-    (default: every node uses [config.wire]); ingress always dispatches on
-    the version byte, so mixed-version clusters interoperate during a
-    rollout. A v2 node coalesces each burst of outgoing DATA PDUs to the
-    same destination into one batch datagram; a v1 node frames one PDU per
-    datagram.
+    Egress is always the v2 codec: each burst of outgoing DATA PDUs to the
+    same destination is coalesced into one batch datagram, framed as a
+    traced 0xB3 batch carrying trace ids iff [config.tracing]. Ingress
+    decodes every frame kind (v1, 0xB2, 0xB3) through
+    {!Repro_pdu.Codec.decode_any}. Recorders are as
+    {!Repro_core.Telemetry.create} rules them: a lifecycle tracker iff
+    [registry], a {!Repro_obs.Trace_ctx.t} recorder iff [config.tracing]
+    (see {!tracer}).
 
-    [traced] sets, per node, whether v2 DATA batches are framed as traced
-    0xB3 datagrams carrying trace ids (default: every node follows
-    [config.tracing]); it has no effect on a v1 node's egress. Untraced
-    receivers decode 0xB3 and discard the ids, so traced/untraced clusters
-    interoperate too. If any node is traced (or [config.tracing] is set) the
-    cluster also keeps a {!Repro_obs.Trace_ctx.t} recorder fed by the entity
-    probes — see {!tracer}.
-
-    @raise Invalid_argument if [wires] or [traced] has length <> [n].
+    @raise Invalid_argument if [n < 2], [loss] is outside [0, 1],
+    [config] is invalid, or [config.wire = V1] (the v1 codec stays the
+    simulator's paper-literal reference; no UDP node frames with it).
     @raise Unix.Unix_error if sockets cannot be created. *)
 
 val size : t -> int
@@ -81,15 +75,15 @@ val reconciled : t -> bool
     epoch's cid guard fences off. *)
 
 val commit_view_change : t -> change -> (unit, string) result
-(** Commit a membership change: close the epoch, remap every survivor's
-    REQ baseline and accepted-header table into the new rank space, and
-    rebuild each member from a {!Repro_core.Entity.bootstrap_checkpoint}
-    under the next epoch's derived cid
-    ({!Repro_member.Group.epoch_cid}). A joiner restores the sponsor's
-    (rank 0's) blob — the co-checkpoint-v1 state transfer, shipped
-    in-process since its socket is born here. The closing epoch's timers
-    are abandoned (a dead epoch's heartbeat or RET retry never fires into
-    the new view) and every new entity is {!Repro_core.Entity.kick}ed.
+(** Commit a membership change: close the epoch and rebuild every member
+    of the next view through {!Repro_member.Epoch_cut.rebuild} — the same
+    cut {!Repro_member.Group} and the model checker commit. A joiner
+    restores the sponsor's (rank 0's) blob — the co-checkpoint-v1 state
+    transfer, shipped in-process since its socket is born here. The
+    recorders forget their send stamps (new-epoch PDUs reuse
+    [(src, seq)] keys), the closing epoch's timers are abandoned (a dead
+    epoch's heartbeat or RET retry never fires into the new view) and
+    every new entity is {!Repro_core.Entity.kick}ed.
 
     This is the {e mechanism} half of membership over real sockets: the
     caller plays coordinator and must first drive the cluster to the
@@ -145,14 +139,14 @@ val decode_errors : t -> int
 val wirestats : t -> Repro_obs.Wirestats.t
 (** Egress wire accounting: datagrams, PDUs, total and header bytes put on
     the wire (loopback self-copies excluded — they never serialize). The
-    [wire] label is the uniform version name, or ["mixed"]. *)
+    [wire] label is always ["v2"]. *)
 
 val lifecycle : t -> Repro_obs.Lifecycle.t option
 (** The per-PDU lifecycle tracker, present iff [create] got a [?registry]. *)
 
 val tracer : t -> Repro_obs.Trace_ctx.t option
-(** The causal-trace recorder, present iff [config.tracing] or any [traced]
-    node; its salt is derived from [seed]. Feed its spans to
+(** The causal-trace recorder, present iff [config.tracing]; its salt is
+    derived from [seed]. Feed its spans to
     {!Repro_obs.Critpath} for delay attribution and Perfetto export. *)
 
 val started_at_wall : t -> float

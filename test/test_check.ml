@@ -87,18 +87,28 @@ let test_explore_join () =
   (* One epoch-0 broadcast, then a member joins (bootstrapped from the
      sponsor's checkpoint) and the joiner itself broadcasts: the new-view
      PDU must deliver causally after the pre-cut traffic everywhere. *)
-  assert_clean "join n=2 b=1 post=1"
-    (explore_churn ~n:2 ~script:[ (0, "a") ] ~churn:Explorer.Join
-       ~post_script:[ (2, "c") ] ())
+  let o =
+    explore_churn ~n:2 ~script:[ (0, "a") ] ~churn:Explorer.Join
+      ~post_script:[ (2, "c") ] ()
+  in
+  assert_clean "join n=2 b=1 post=1" o;
+  (* Pinned: the epoch cut is shared with Group and the UDP transport;
+     refactoring it must not change what the checker can see. *)
+  check int_t "join states" 18437 o.Explorer.states;
+  check int_t "join transitions" 72822 o.Explorer.transitions
 
 let test_explore_leave () =
   (* Rank 1 leaves after two epoch-0 broadcasts; its stale loopback and
      confirmation copies stay in flight across the cut and must all bounce
      off the survivors' cid guard. *)
-  assert_clean "leave n=3 b=2 post=1"
-    (explore_churn ~n:3
-       ~script:[ (0, "a"); (1, "b") ]
-       ~churn:(Explorer.Leave 1) ~post_script:[ (0, "c") ] ())
+  let o =
+    explore_churn ~n:3
+      ~script:[ (0, "a"); (1, "b") ]
+      ~churn:(Explorer.Leave 1) ~post_script:[ (0, "c") ] ()
+  in
+  assert_clean "leave n=3 b=2 post=1" o;
+  check int_t "leave states" 23461 o.Explorer.states;
+  check int_t "leave transitions" 76401 o.Explorer.transitions
 
 let test_explore_catches_skip_epoch () =
   (* With the cid guard seeded away, a stale epoch-0 straggler delivered

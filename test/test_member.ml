@@ -4,6 +4,7 @@
 module View = Repro_member.View
 module Suspicion = Repro_member.Suspicion
 module Group = Repro_member.Group
+module Epoch_cut = Repro_member.Epoch_cut
 module Memberwire = Repro_pdu.Memberwire
 module Config = Repro_core.Config
 module Entity = Repro_core.Entity
@@ -163,7 +164,7 @@ let test_epoch_cid_injective () =
     (fun cid ->
       List.iter
         (fun epoch ->
-          let c = Group.epoch_cid ~cid ~epoch in
+          let c = Epoch_cut.epoch_cid ~cid ~epoch in
           check bool_t "distinct" false (Hashtbl.mem seen c);
           Hashtbl.replace seen c ())
         [ 0; 1; 2; 3; 17; 1000 ])
@@ -535,7 +536,7 @@ let null_actions =
 
 let test_bootstrap_checkpoint_restores () =
   let config =
-    { Config.default with Config.cid = Group.epoch_cid ~cid:0 ~epoch:2; epoch = 2 }
+    { Config.default with Config.cid = Epoch_cut.epoch_cid ~cid:0 ~epoch:2; epoch = 2 }
   in
   let req = [| 5; 3; 1; 7 |] in
   let headers = [ (0, 2, [| 2; 1; 1; 1 |]); (3, 4, [| 4; 2; 1; 5 |]) ] in

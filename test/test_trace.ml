@@ -568,30 +568,67 @@ let test_perfetto_schema () =
 
 (* --- Mixed traced/untraced UDP interop --- *)
 
+(* UDP egress is uniform (v2, 0xB3 iff tracing), but ingress must still
+   accept every frame kind [decode_any] knows. A fault hook re-frames each
+   arriving datagram in rotation: passed through as sent, split into
+   per-PDU v1 frames, or re-batched as a traced 0xB3 frame (DATA only —
+   RET/CTL have no traced form and go as v1). *)
 let test_udp_traced_interop () =
-  (* Half the nodes frame 0xB3, half plain 0xB2; one node still speaks v1.
-     Everyone must converge with zero decode errors. *)
-  let wires = [| Config.V2; Config.V2; Config.V1; Config.V2 |] in
-  let traced = [| true; false; false; true |] in
-  let t = Udp.create ~wires ~traced ~n:4 () in
-  Fun.protect ~finally:(fun () -> Udp.close t) @@ fun () ->
-  check bool_t "recorder present when any node traces" true
-    (Udp.tracer t <> None);
-  for i = 0 to 3 do
-    Udp.submit t ~src:i (Printf.sprintf "m%d" i)
-  done;
-  check bool_t "quiescent" true (Udp.run_until_quiescent t ~max_seconds:10.);
-  let keys e =
-    List.sort compare
-      (List.map (fun (d : Pdu.data) -> (d.Pdu.src, d.Pdu.seq)) (Udp.deliveries t ~entity:e))
-  in
-  let reference = keys 0 in
-  check int_t "all four delivered at 0" 4 (List.length reference);
-  for e = 1 to 3 do
-    check keys_t (Printf.sprintf "entity %d converged" e) reference (keys e)
-  done;
-  check int_t "no decode errors across traced/untraced/v1" 0
-    (Udp.decode_errors t)
+  List.iter
+    (fun tracing ->
+      let config = { Config.default with Config.tracing } in
+      let t = Udp.create ~config ~n:4 () in
+      Fun.protect ~finally:(fun () -> Udp.close t) @@ fun () ->
+      let salt = Trace_ctx.salt_of_seed ~seed:5 in
+      let kinds = Array.make 3 0 in
+      let turn = ref 0 in
+      Udp.set_fault_hook t (fun ~dst:_ ~src:_ dg ->
+          let pdus =
+            match Codec.decode_any dg with
+            | Ok pdus -> pdus
+            | Error e -> Alcotest.failf "egress frame: %a" Codec.pp_error e
+          in
+          let data =
+            List.filter_map
+              (function Pdu.Data d -> Some d | Pdu.Ret _ | Pdu.Ctl _ -> None)
+              pdus
+          in
+          let kind = !turn mod 3 in
+          incr turn;
+          kinds.(kind) <- kinds.(kind) + 1;
+          match kind with
+          | 0 -> [ dg ]
+          | 2 when List.length data = List.length pdus ->
+            let ids =
+              Array.of_list
+                (List.map
+                   (fun (d : Pdu.data) ->
+                     Trace_ctx.id ~salt ~src:d.Pdu.src ~seq:d.Pdu.seq)
+                   data)
+            in
+            [ Codec.encode_data_batch_traced ~ids data ]
+          | _ -> List.map Codec.encode pdus);
+      for i = 0 to 3 do
+        Udp.submit t ~src:i (Printf.sprintf "m%d" i)
+      done;
+      check bool_t "quiescent" true (Udp.run_until_quiescent t ~max_seconds:10.);
+      let keys e =
+        List.sort compare
+          (List.map
+             (fun (d : Pdu.data) -> (d.Pdu.src, d.Pdu.seq))
+             (Udp.deliveries t ~entity:e))
+      in
+      let reference = keys 0 in
+      check int_t "all four delivered at 0" 4 (List.length reference);
+      for e = 1 to 3 do
+        check keys_t (Printf.sprintf "entity %d converged" e) reference (keys e)
+      done;
+      Array.iteri
+        (fun k c ->
+          check bool_t (Printf.sprintf "frame kind %d exercised" k) true (c > 0))
+        kinds;
+      check int_t "no decode errors across v1/0xB2/0xB3" 0 (Udp.decode_errors t))
+    [ false; true ]
 
 let qsuite tests = Qutil.qsuite ~long:false tests
 

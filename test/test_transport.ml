@@ -84,7 +84,13 @@ let test_validation () =
     "Udp_cluster.create: n must be >= 2") (fun () ->
       ignore (Udp.create ~n:1 ()));
   Alcotest.check_raises "loss" (Invalid_argument "Udp_cluster.create: loss")
-    (fun () -> ignore (Udp.create ~loss:2.0 ~n:2 ()))
+    (fun () -> ignore (Udp.create ~loss:2.0 ~n:2 ()));
+  Alcotest.check_raises "v1 egress"
+    (Invalid_argument "Udp_cluster.create: egress is v2 only (config.wire = V1)")
+    (fun () ->
+      ignore
+        (Udp.create ~config:{ Config.default with Config.wire = Config.V1 }
+           ~n:2 ()))
 
 let test_garbage_datagrams_ignored () =
   (* Hostile/foreign datagrams must be counted and discarded, never crash
@@ -187,6 +193,69 @@ let test_view_change_join_then_remove () =
     (payloads t ~entity:1);
   check int_t "two view changes" 2 (Udp.view_changes t)
 
+(* The same membership cycle with both recorders on. The removal shifts
+   the joiner down to rank 1, where it continues its own sequence numbers
+   under the departed rank's [src] — keys the departed rank already used.
+   The cut must make the recorders forget the closed epoch's send stamps,
+   or each new-epoch span would start at an old-epoch send. *)
+let test_view_change_instrumented () =
+  let registry = Repro_obs.Registry.create () in
+  let config = { fast_config with Config.tracing = true } in
+  let t = Udp.create ~registry ~config ~n:2 () in
+  Fun.protect ~finally:(fun () -> Udp.close t) @@ fun () ->
+  let tracer = Option.get (Udp.tracer t) in
+  let lifecycle = Option.get (Udp.lifecycle t) in
+  let quiesce what =
+    check bool_t (what ^ " quiescent") true
+      (Udp.run_until_quiescent t ~max_seconds:10.)
+  in
+  let commit change =
+    match Udp.commit_view_change t change with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "view change refused: %s" e
+  in
+  (* Spans completed after a cut belong to the new epoch; the cut itself
+     happened after every earlier span's delivery. *)
+  let check_new_epoch_spans ~before what =
+    let spans = Repro_obs.Trace_ctx.spans tracer in
+    let old = List.filteri (fun i _ -> i < before) spans in
+    let fresh = List.filteri (fun i _ -> i >= before) spans in
+    let cut_at =
+      List.fold_left
+        (fun acc (s : Repro_obs.Trace_ctx.span) -> max acc s.t_deliver)
+        0 old
+    in
+    check bool_t (what ^ ": new-epoch spans recorded") true (fresh <> []);
+    List.iter
+      (fun (s : Repro_obs.Trace_ctx.span) ->
+        if s.t_send < cut_at || s.t_recv < s.t_send then
+          Alcotest.failf
+            "%s: span %d:%d at entity %d sent at %dus, before the cut (%dus)"
+            what s.src s.seq s.entity s.t_send cut_at)
+      fresh
+  in
+  Udp.submit t ~src:0 "e0-a";
+  Udp.submit t ~src:1 "e0-b";
+  quiesce "epoch 0";
+  let before = Repro_obs.Trace_ctx.span_count tracer in
+  commit Udp.Add_node;
+  (* Rank 1 runs its sequence well ahead of the joiner's. *)
+  for k = 1 to 4 do
+    Udp.submit t ~src:1 (Printf.sprintf "e1-b%d" k)
+  done;
+  Udp.submit t ~src:2 "e1-from-joiner";
+  quiesce "epoch 1";
+  check_new_epoch_spans ~before "after the join";
+  let before = Repro_obs.Trace_ctx.span_count tracer in
+  commit (Udp.Remove_node 1);
+  Udp.submit t ~src:1 "e2-c";
+  Udp.submit t ~src:0 "e2-d";
+  quiesce "epoch 2";
+  check_new_epoch_spans ~before "after the removal";
+  check int_t "close errors" 0 (Repro_obs.Lifecycle.close_errors lifecycle);
+  check int_t "order errors" 0 (Repro_obs.Lifecycle.order_errors lifecycle);
+  check int_t "open spans" 0 (Repro_obs.Lifecycle.open_spans lifecycle)
+
 let test_view_change_requires_reconciliation () =
   let t = Udp.create ~config:fast_config ~n:2 () in
   Fun.protect ~finally:(fun () -> Udp.close t) @@ fun () ->
@@ -230,6 +299,8 @@ let () =
             test_fault_injected_corruption;
           Alcotest.test_case "view change join then remove" `Quick
             test_view_change_join_then_remove;
+          Alcotest.test_case "view change instrumented" `Quick
+            test_view_change_instrumented;
           Alcotest.test_case "view change needs the barrier" `Quick
             test_view_change_requires_reconciliation;
           Alcotest.test_case "close idempotent" `Quick test_close_is_idempotent;
