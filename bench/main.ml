@@ -1,7 +1,8 @@
 (* Benchmark harness: regenerates every figure and quantified claim of the
    paper's evaluation (§5), plus the ablations documented in DESIGN.md.
 
-   Usage:  main.exe [e1|e2|e3|e4|e5|e6|e7|e8|micro|all]...   (default: all)
+   Usage:  main.exe [e1..e8|json|pac|loss_sweep|throughput|throughput_smoke|all]...
+           (default: all)
 
    Experiment index (see DESIGN.md §4 and EXPERIMENTS.md):
      E1  Figure 8   — Tco (per-PDU processing, real wall-clock via Bechamel)
@@ -20,7 +21,6 @@ module Cluster = Repro_core.Cluster
 module Config = Repro_core.Config
 module Entity = Repro_core.Entity
 module Metrics = Repro_core.Metrics
-module Precedence = Repro_core.Precedence
 module Pdu = Repro_pdu.Pdu
 module Codec = Repro_pdu.Codec
 module Engine = Repro_sim.Engine
@@ -758,11 +758,11 @@ let json () =
             Printf.sprintf "\"ladder\":{%s}"
               (String.concat ","
                  [
-                   stage "queue" ladder.Repro_obs.Lifecycle.queue;
-                   stage "accept" ladder.Repro_obs.Lifecycle.accept;
-                   stage "preack" ladder.Repro_obs.Lifecycle.preack;
-                   stage "ack" ladder.Repro_obs.Lifecycle.ack;
-                   stage "deliver" ladder.Repro_obs.Lifecycle.deliver;
+                   stage "queue" ladder.Repro_obs.Trace_ctx.queue;
+                   stage "accept" ladder.Repro_obs.Trace_ctx.accept;
+                   stage "preack" ladder.Repro_obs.Trace_ctx.preack;
+                   stage "ack" ladder.Repro_obs.Trace_ctx.ack;
+                   stage "deliver" ladder.Repro_obs.Trace_ctx.deliver;
                  ]);
             Printf.sprintf "\"metrics\":%s"
               (Metrics.to_json o.Experiment.metrics);
@@ -817,7 +817,7 @@ let loss_sweep () =
           | Some l -> l
           | None -> assert false (* instrumented run *)
         in
-        let deliver = ladder.Repro_obs.Lifecycle.deliver in
+        let deliver = ladder.Repro_obs.Trace_ctx.deliver in
         let p99_us = Repro_obs.Histogram.percentile deliver 99. in
         let goodput = Experiment.goodput o in
         Table.add_row table
@@ -889,12 +889,11 @@ type throughput_result = {
 }
 
 (* The ingest path mirrors the UDP transport: every round crosses the
-   wire. A v2 entity receives each 7-PDU round as ONE batch datagram
+   wire. The entity receives each 7-PDU round as ONE v2 batch datagram
    (shared delta-encoded ACK header) and processes it with one
-   receipt-log scan; a v1 entity receives 7 framed datagrams and pays the
-   scan per PDU. Decode goes through [decode_any], the real ingress
+   receipt-log scan. Decode goes through [decode_any], the real ingress
    dispatch. *)
-let throughput_run ~wire ~n ~per_source ~lag =
+let throughput_run ~n ~per_source ~lag =
   let delivered = ref 0 in
   let loopback = Queue.create () in
   let actions =
@@ -908,7 +907,7 @@ let throughput_run ~wire ~n ~per_source ~lag =
     }
   in
   let e = Entity.create ~config:throughput_config ~id:0 ~n ~actions in
-  let ws = Wirestats.create ~wire:(Config.wire_name wire) in
+  let ws = Wirestats.create ~wire:(Config.wire_name Config.V2) in
   let receive_framed bytes ~pdus ~payload_bytes =
     Wirestats.record ws ~pdus ~bytes:(Bytes.length bytes) ~payload_bytes;
     match Codec.decode_any bytes with
@@ -916,30 +915,15 @@ let throughput_run ~wire ~n ~per_source ~lag =
     | Error _ -> assert false
   in
   let feed_data datas =
-    match wire with
-    | Config.V2 ->
-      let payload_bytes =
-        List.fold_left (fun a d -> a + String.length d.Pdu.payload) 0 datas
-      in
-      receive_framed
-        (Codec.encode_data_batch_v2 datas)
-        ~pdus:(List.length datas) ~payload_bytes
-    | Config.V1 ->
-      List.iter
-        (fun d ->
-          receive_framed
-            (Codec.encode (Pdu.Data d))
-            ~pdus:1
-            ~payload_bytes:(String.length d.Pdu.payload))
-        datas
+    let payload_bytes =
+      List.fold_left (fun a d -> a + String.length d.Pdu.payload) 0 datas
+    in
+    receive_framed
+      (Codec.encode_data_batch_v2 datas)
+      ~pdus:(List.length datas) ~payload_bytes
   in
   let feed_one pdu =
-    let bytes =
-      match wire with
-      | Config.V1 -> Codec.encode pdu
-      | Config.V2 -> Codec.encode_v2 pdu
-    in
-    receive_framed bytes ~pdus:1 ~payload_bytes:0
+    receive_framed (Codec.encode_v2 pdu) ~pdus:1 ~payload_bytes:0
   in
   let mk ~src ~seq ~ack ~payload =
     match Pdu.data ~cid:0 ~src ~seq ~ack ~buf:4096 ~payload with
@@ -973,7 +957,7 @@ let throughput_run ~wire ~n ~per_source ~lag =
     feed_data !batch;
     drain_loopback ()
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Repro_util.Monoclock.now_ns () in
   for s = 1 to per_source do
     round ~s ~ack_others:(max 1 (s - lag)) ~payload:"x"
   done;
@@ -990,7 +974,9 @@ let throughput_run ~wire ~n ~per_source ~lag =
     feed_one (Pdu.ctl ~cid:0 ~src:1 ~ack ~buf:4096);
     drain_loopback ()
   done;
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed =
+    Int64.to_float (Int64.sub (Repro_util.Monoclock.now_ns ()) t0) /. 1e9
+  in
   let m = Entity.metrics e in
   {
     tp_delivered = !delivered;
@@ -1003,8 +989,14 @@ let throughput_run ~wire ~n ~per_source ~lag =
     tp_wirestats = ws;
   }
 
-let throughput_json ~mode ~wire ~n ~per_source ~lag (r : throughput_result) =
-  let rate = float_of_int r.tp_delivered /. r.tp_elapsed_s in
+(* Timed repetitions after one untimed warm-up run: one window of a few
+   tens of milliseconds swings with the host's clock and cache state, so
+   the artifact reports the median rate with its spread. *)
+let throughput_reps = 5
+
+let throughput_json ~mode ~n ~per_source ~lag ~rates (r : throughput_result) =
+  let pct = Stats.percentile rates in
+  let rate = pct 50. in
   let ws = r.tp_wirestats in
   let header_per_delivery =
     float_of_int (Wirestats.header_bytes ws) /. float_of_int r.tp_delivered
@@ -1013,14 +1005,18 @@ let throughput_json ~mode ~wire ~n ~per_source ~lag (r : throughput_result) =
     [
       Printf.sprintf "\"scenario\":\"throughput\"";
       Printf.sprintf "\"mode\":%S" mode;
-      Printf.sprintf "\"wire\":%S" (Config.wire_name wire);
+      Printf.sprintf "\"wire\":%S" (Config.wire_name Config.V2);
       Printf.sprintf "\"n\":%d" n;
       Printf.sprintf "\"per_source\":%d" per_source;
       Printf.sprintf "\"lag\":%d" lag;
       Printf.sprintf "\"delivered\":%d" r.tp_delivered;
       Printf.sprintf "\"expected\":%d" r.tp_expected;
-      Printf.sprintf "\"elapsed_s\":%.6f" r.tp_elapsed_s;
+      Printf.sprintf "\"reps\":%d" (List.length rates);
+      Printf.sprintf "\"elapsed_s\":%.6f" (float_of_int r.tp_delivered /. rate);
       Printf.sprintf "\"deliveries_per_s\":%.1f" rate;
+      Printf.sprintf "\"deliveries_per_s_min\":%.1f"
+        (List.fold_left Float.min Float.infinity rates);
+      Printf.sprintf "\"deliveries_per_s_iqr\":%.1f" (pct 75. -. pct 25.);
       Printf.sprintf "\"wire_datagrams\":%d" (Wirestats.datagrams ws);
       Printf.sprintf "\"wire_bytes\":%d" (Wirestats.wire_bytes ws);
       Printf.sprintf "\"header_bytes\":%d" (Wirestats.header_bytes ws);
@@ -1031,84 +1027,35 @@ let throughput_json ~mode ~wire ~n ~per_source ~lag (r : throughput_result) =
       Printf.sprintf "\"deliver_batches\":%d" r.tp_deliver_batches;
     ]
 
-let throughput_scenario ~mode ~wire () =
+let throughput_scenario ~mode () =
   Report.header
-    (Printf.sprintf "throughput — sustained delivery rate, n=8 (%s mode, %s wire)"
-       mode (Config.wire_name wire));
+    (Printf.sprintf "throughput — sustained delivery rate, n=8 (%s mode)" mode);
   let n = 8 in
   let per_source = if mode = "smoke" then 1_000 else 10_000 in
   let lag = 32 in
-  let r = throughput_run ~wire ~n ~per_source ~lag in
-  let rate = float_of_int r.tp_delivered /. r.tp_elapsed_s in
+  ignore (throughput_run ~n ~per_source ~lag);
+  let runs = List.init throughput_reps (fun _ -> throughput_run ~n ~per_source ~lag) in
+  let rates =
+    List.map (fun r -> float_of_int r.tp_delivered /. r.tp_elapsed_s) runs
+  in
+  let r = List.hd runs in
   Printf.printf
-    "delivered %d/%d data PDUs in %.3fs — %.0f deliveries/s (accepted %d, \
-     peak buffered %d, %.1f header bytes/delivery)\n"
-    r.tp_delivered r.tp_expected r.tp_elapsed_s rate r.tp_accepted
-    r.tp_peak_buffered
+    "delivered %d/%d data PDUs per run — median %.0f deliveries/s over %d \
+     runs (min %.0f; accepted %d, peak buffered %d, %.1f header \
+     bytes/delivery)\n"
+    r.tp_delivered r.tp_expected (Stats.percentile rates 50.) throughput_reps
+    (List.fold_left Float.min Float.infinity rates)
+    r.tp_accepted r.tp_peak_buffered
     (float_of_int (Wirestats.header_bytes r.tp_wirestats)
     /. float_of_int r.tp_delivered);
-  let file =
-    match wire with
-    | Config.V2 -> "BENCH_throughput.json"
-    | Config.V1 -> "BENCH_throughput_v1.json"
-  in
-  let body = throughput_json ~mode ~wire ~n ~per_source ~lag r in
+  let file = "BENCH_throughput.json" in
+  let body = throughput_json ~mode ~n ~per_source ~lag ~rates r in
   Out_channel.with_open_bin file (fun oc ->
       Out_channel.output_string oc ("{" ^ body ^ "}\n"));
   Printf.printf "wrote %s\n\n" file
 
-let throughput () = throughput_scenario ~mode:"full" ~wire:Config.V2 ()
-let throughput_smoke () = throughput_scenario ~mode:"smoke" ~wire:Config.V2 ()
-
-let throughput_v1 () = throughput_scenario ~mode:"full" ~wire:Config.V1 ()
-(* The before/after comparison for the v2 wire format: same workload,
-   v1 framing, one datagram (and one receipt-log pass) per PDU. *)
-
-(* ------------------------------------------------------------------ *)
-(* Micro-benchmarks (wall clock, Bechamel).                             *)
-
-let micro () =
-  Report.header "Micro-benchmarks (Bechamel, wall clock)";
-  let mk_data ~src ~seq ~ack =
-    match Pdu.data ~cid:0 ~src ~seq ~ack ~buf:64 ~payload:"x" with
-    | Pdu.Data d -> d
-    | Pdu.Ret _ | Pdu.Ctl _ -> assert false
-  in
-  (* CPI insertion into a 100-element log. *)
-  let n = 4 in
-  let log =
-    List.init 100 (fun i ->
-        mk_data ~src:0 ~seq:(i + 1) ~ack:(Array.make n (i + 1)))
-  in
-  let newcomer = mk_data ~src:1 ~seq:1 ~ack:[| 50; 1; 1; 1 |] in
-  let cpi_test =
-    Test.make ~name:"cpi/insert-into-100"
-      (Staged.stage (fun () -> Precedence.cpi_insert_lenient log newcomer))
-  in
-  let pdu8 =
-    Pdu.data ~cid:0 ~src:0 ~seq:5 ~ack:(Array.make 8 5) ~buf:9 ~payload:"payload"
-  in
-  let encoded = Codec.encode pdu8 in
-  let codec_tests =
-    [
-      Test.make ~name:"codec/encode-n8" (Staged.stage (fun () -> Codec.encode pdu8));
-      Test.make ~name:"codec/decode-n8" (Staged.stage (fun () -> Codec.decode encoded));
-    ]
-  in
-  let receive_tests = List.map (fun n -> snd (tco_test n)) [ 2; 4; 8 ] in
-  let grouped =
-    Test.make_grouped ~name:"micro" ~fmt:"%s:%s"
-      ((cpi_test :: codec_tests) @ receive_tests)
-  in
-  let estimates = estimate_ns_per_run grouped in
-  let table =
-    Table.create ~title:"estimated ns/run"
-      ~columns:[ ("benchmark", Table.Left); ("ns/run", Table.Right) ]
-  in
-  List.iter
-    (fun (name, est) -> Table.add_row table [ name; Table.fmt_float ~digits:1 est ])
-    (List.sort compare estimates);
-  Table.print table
+let throughput () = throughput_scenario ~mode:"full" ()
+let throughput_smoke () = throughput_scenario ~mode:"smoke" ()
 
 (* ------------------------------------------------------------------ *)
 (* PAC scenario sweep: every named scenario under CO / CBCAST / TO,    *)
@@ -1155,9 +1102,9 @@ let json () =
 
 let all =
   [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
-    ("e7", e7); ("e8", e8); ("micro", micro); ("json", json);
-    ("pac", pac); ("loss_sweep", loss_sweep); ("throughput", throughput);
-    ("throughput_smoke", throughput_smoke); ("throughput_v1", throughput_v1) ]
+    ("e7", e7); ("e8", e8); ("json", json); ("pac", pac);
+    ("loss_sweep", loss_sweep); ("throughput", throughput);
+    ("throughput_smoke", throughput_smoke) ]
 
 let () =
   let requested =
@@ -1174,7 +1121,7 @@ let () =
       | Some f -> f ()
       | None ->
         Printf.eprintf
-          "unknown experiment %S (expected e1..e8, micro, json, loss_sweep, \
-           throughput, throughput_smoke, throughput_v1)\n"
+          "unknown experiment %S (expected e1..e8, json, pac, loss_sweep, \
+           throughput, throughput_smoke)\n"
           name)
     requested

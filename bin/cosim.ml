@@ -21,7 +21,6 @@ module Stats = Repro_util.Stats
 module Table = Repro_util.Table
 module Registry = Repro_obs.Registry
 module Exporter = Repro_obs.Exporter
-module Lifecycle = Repro_obs.Lifecycle
 open Cmdliner
 
 let make_workload ~kind ~n ~per_entity ~interval_ms ~duration_ms ~seed =
@@ -71,9 +70,8 @@ let arm_snapshots ~interval_ms ~workload ~table ~series cluster =
     Cluster.sync_metrics cluster;
     let m = Cluster.aggregate_metrics cluster in
     let open_spans =
-      match Cluster.lifecycle cluster with
-      | Some lc -> Lifecycle.open_spans lc
-      | None -> 0
+      Option.fold ~none:0 ~some:Repro_obs.Trace_ctx.open_spans
+        (Cluster.lifecycle cluster)
     in
     Table.add_row table
       [

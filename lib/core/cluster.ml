@@ -4,9 +4,7 @@ module Network = Repro_sim.Network
 module Simtime = Repro_sim.Simtime
 module Topology = Repro_sim.Topology
 module Trace = Repro_sim.Trace
-module Lifecycle = Repro_obs.Lifecycle
 module Registry = Repro_obs.Registry
-module Trace_ctx = Repro_obs.Trace_ctx
 
 type config = {
   n : int;
@@ -232,11 +230,7 @@ let crash t ~id =
   (* Open telemetry spans die with the incarnation: abandon them (tagged
      with the incarnation that was running) so post-restart ladder stamps
      can never stitch onto pre-crash spans. *)
-  Option.iter
-    (fun lc ->
-      Lifecycle.abandon_entity lc ~entity:id ~incarnation:t.incarnation.(id))
-    t.telemetry.lifecycle;
-  Option.iter (Trace_ctx.abandon_entity ~entity:id) t.telemetry.tracer;
+  Telemetry.abandon_entity t.telemetry ~entity:id;
   t.down.(id) <- true;
   t.incarnation.(id) <- t.incarnation.(id) + 1;
   Trace.record (Network.trace t.net)
@@ -250,7 +244,7 @@ let restart t ~id =
   t.down.(id) <- false;
   (* Keep the recorder's incarnation counter in lockstep with the
      cluster's (both crash and restart bump it). *)
-  Option.iter (Trace_ctx.abandon_entity ~entity:id) t.telemetry.tracer;
+  Telemetry.abandon_entity t.telemetry ~entity:id;
   let entity = t.rebuild id t.checkpoints.(id) in
   t.entities.(id) <- entity;
   Trace.record (Network.trace t.net)
@@ -274,8 +268,8 @@ let aggregate_metrics t =
   acc
 
 let entity_metrics t i = Entity.metrics t.entities.(i)
-let lifecycle t = t.telemetry.lifecycle
-let tracer t = t.telemetry.tracer
+let lifecycle t = Telemetry.lifecycle t.telemetry
+let tracer t = Telemetry.tracer t.telemetry
 let registry t = t.config.instrument
 
 let sync_metrics t =

@@ -17,7 +17,7 @@ type config = {
   seed : int;
   instrument : Repro_obs.Registry.t option;
       (** When set, the cluster registers receipt-ladder telemetry here:
-          per-entity probes feed a {!Repro_obs.Lifecycle.t}
+          per-entity probes feed a {!Repro_obs.Trace_ctx.t}
           ([co_ladder_stage_seconds], [co_submit_queue_seconds]) plus
           per-entity [co_pdus_received_total]; {!sync_metrics} mirrors the
           protocol counters. [None] (the default) installs no probes and
@@ -104,12 +104,13 @@ val ack_latencies : t -> float list
 val aggregate_metrics : t -> Metrics.t
 val entity_metrics : t -> int -> Metrics.t
 
-val lifecycle : t -> Repro_obs.Lifecycle.t option
-(** The per-PDU lifecycle tracker, present iff [config.instrument] was. *)
+val lifecycle : t -> Repro_obs.Trace_ctx.t option
+(** The span recorder, present iff [config.instrument] was: its receipt
+    ladder ({!Repro_obs.Trace_ctx.ladder}) and span-discipline counters. *)
 
 val tracer : t -> Repro_obs.Trace_ctx.t option
-(** The causal-trace recorder, present iff [config.protocol.tracing];
-    its salt is derived from [config.seed]. Feed its spans to
+(** The same span recorder, present iff [config.protocol.tracing]; its
+    salt is derived from [config.seed]. Feed its spans to
     {!Repro_obs.Critpath} for delay attribution and Perfetto export. *)
 
 val registry : t -> Repro_obs.Registry.t option

@@ -153,9 +153,8 @@ let run ?(n = 4) ?(seed = 1) ?(per_entity = 6)
       Some (Repro_obs.Critpath.of_recorder tr)
   in
   let spans_abandoned =
-    match Cluster.lifecycle cluster with
-    | None -> 0
-    | Some lc -> Repro_obs.Lifecycle.spans_abandoned lc
+    Option.fold ~none:0 ~some:Repro_obs.Trace_ctx.spans_abandoned
+      (Cluster.lifecycle cluster)
   in
   {
     plan = plan.name;

@@ -16,7 +16,7 @@ type outcome = {
   losses : int;
   sim_end_ms : float;
   events : int;
-  ladder : Repro_obs.Lifecycle.ladder option;
+  ladder : Repro_obs.Trace_ctx.ladder option;
   attribution : Repro_obs.Critpath.summary option;
 }
 
@@ -52,7 +52,7 @@ let run ?(max_events = 20_000_000) ?registry ?on_cluster ~config ~workload ()
       losses = Network.losses (Cluster.network cluster);
       sim_end_ms = Repro_sim.Simtime.to_ms (Engine.now (Cluster.engine cluster));
       events = Engine.processed (Cluster.engine cluster);
-      ladder = Option.map Repro_obs.Lifecycle.ladder (Cluster.lifecycle cluster);
+      ladder = Option.map Repro_obs.Trace_ctx.ladder (Cluster.lifecycle cluster);
       attribution =
         Option.map
           (fun tr ->

@@ -459,13 +459,13 @@ let datagrams_sent t = t.sent
 let datagrams_dropped t = t.dropped
 let datagrams_faulted t = t.faulted
 let decode_errors t = t.decode_errors
-let lifecycle t = t.telemetry.lifecycle
-let tracer t = t.telemetry.tracer
+let lifecycle t = Telemetry.lifecycle t.telemetry
+let tracer t = Telemetry.tracer t.telemetry
 let started_at_wall t = t.started_at_wall
 let wirestats t = t.wirestats
 
 let sync_registry t =
-  match t.telemetry.registry with
+  match Telemetry.registry t.telemetry with
   | None -> ()
   | Some reg ->
     Array.iter

@@ -25,7 +25,7 @@ val create :
     to each. [loss] drops incoming datagrams iid (before decode, never for an
     entity's own loopback, which is delivered in-process). [registry]
     enables receipt-ladder telemetry: every entity gets a probe stamping
-    {e monotonic-clock} microseconds into a {!Repro_obs.Lifecycle.t} (see
+    {e monotonic-clock} microseconds into a {!Repro_obs.Trace_ctx.t} (see
     {!sync_registry}); the one wall-clock stamp the cluster keeps is
     {!started_at_wall}, for log headers.
 
@@ -33,10 +33,9 @@ val create :
     same destination is coalesced into one batch datagram, framed as a
     traced 0xB3 batch carrying trace ids iff [config.tracing]. Ingress
     decodes every frame kind (v1, 0xB2, 0xB3) through
-    {!Repro_pdu.Codec.decode_any}. Recorders are as
-    {!Repro_core.Telemetry.create} rules them: a lifecycle tracker iff
-    [registry], a {!Repro_obs.Trace_ctx.t} recorder iff [config.tracing]
-    (see {!tracer}).
+    {!Repro_pdu.Codec.decode_any}. The span recorder exists as
+    {!Repro_core.Telemetry.create} rules: iff [registry] or
+    [config.tracing] (see {!lifecycle} and {!tracer}).
 
     @raise Invalid_argument if [n < 2], [loss] is outside [0, 1],
     [config] is invalid, or [config.wire = V1] (the v1 codec stays the
@@ -141,11 +140,12 @@ val wirestats : t -> Repro_obs.Wirestats.t
     the wire (loopback self-copies excluded — they never serialize). The
     [wire] label is always ["v2"]. *)
 
-val lifecycle : t -> Repro_obs.Lifecycle.t option
-(** The per-PDU lifecycle tracker, present iff [create] got a [?registry]. *)
+val lifecycle : t -> Repro_obs.Trace_ctx.t option
+(** The span recorder, present iff [create] got a [?registry]: its
+    receipt ladder and span-discipline counters. *)
 
 val tracer : t -> Repro_obs.Trace_ctx.t option
-(** The causal-trace recorder, present iff [config.tracing]; its salt is
+(** The same span recorder, present iff [config.tracing]; its salt is
     derived from [seed]. Feed its spans to
     {!Repro_obs.Critpath} for delay attribution and Perfetto export. *)
 

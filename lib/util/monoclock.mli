@@ -13,7 +13,7 @@ val now_ns : unit -> int64
     Only differences are meaningful. *)
 
 val now_us : unit -> int
-(** [now_ns] scaled to whole microseconds (the unit the lifecycle tracker
+(** [now_ns] scaled to whole microseconds (the unit the span recorder
     and the UDP transport stamp with). *)
 
 val now_s : unit -> float

@@ -30,7 +30,6 @@ module Trace_ctx = Repro_obs.Trace_ctx
 module Critpath = Repro_obs.Critpath
 module Registry = Repro_obs.Registry
 module Exporter = Repro_obs.Exporter
-module Lifecycle = Repro_obs.Lifecycle
 module Plan = Repro_fault.Plan
 module Chaos = Repro_fault.Chaos
 module Jsonx = Repro_analysis.Jsonx
@@ -357,7 +356,7 @@ let test_crash_abandons_spans () =
     (o.Chaos.spans_abandoned > 0);
   check int_t "attribution is exact despite the crash"
     s.Critpath.end_to_end_us s.Critpath.attributed_us;
-  (* No stitching: post-restart stamps may not close pre-crash lifecycle
+  (* No stitching: post-restart stamps may not close pre-crash ladder
      spans, so the tracker reports zero close/order anomalies. *)
   let lc =
     match
@@ -397,10 +396,10 @@ let test_cluster_crash_no_stitch () =
   Cluster.run c;
   let lc = match Cluster.lifecycle c with Some l -> l | None -> assert false in
   check bool_t "mid-ladder spans were open at the crash" true
-    (Lifecycle.spans_abandoned lc > 0);
+    (Trace_ctx.spans_abandoned lc > 0);
   check int_t "no span closed across incarnations" 0
-    (Lifecycle.close_errors lc);
-  check int_t "no out-of-order stage stamps" 0 (Lifecycle.order_errors lc);
+    (Trace_ctx.close_errors lc);
+  check int_t "no out-of-order stage stamps" 0 (Trace_ctx.order_errors lc);
   let tr = match Cluster.tracer c with Some t -> t | None -> assert false in
   check bool_t "trace recorder abandoned the crashed partials" true
     (Trace_ctx.abandoned tr > 0);
@@ -423,22 +422,22 @@ let test_cluster_crash_no_stitch () =
 
 let test_recorder_abandon_unit () =
   let r = Trace_ctx.create ~salt:3L () in
-  Trace_ctx.on_send r ~src:0 ~seq:1 ~now:0;
-  Trace_ctx.on_receive r ~entity:1 ~src:0 ~seq:1 ~now:5;
-  Trace_ctx.on_accept r ~entity:1 ~src:0 ~seq:1 ~now:6;
-  check int_t "one open partial" 1 (Trace_ctx.open_count r);
+  Trace_ctx.on_send r ~src:0 ~seq:1 ~data:true ~now:0;
+  Trace_ctx.on_receive r ~entity:1 ~src:0 ~seq:1 ~data:true ~now:5;
+  Trace_ctx.on_accept r ~entity:1 ~src:0 ~seq:1 ~data:true ~now:6;
+  check int_t "one open partial" 1 (Trace_ctx.open_spans r);
   Trace_ctx.abandon_entity r ~entity:1;
-  check int_t "abandon clears the partial" 0 (Trace_ctx.open_count r);
+  check int_t "abandon clears the partial" 0 (Trace_ctx.open_spans r);
   check int_t "abandon counted" 1 (Trace_ctx.abandoned r);
   (* A delivery arriving after the crash cannot resurrect the span. *)
   Trace_ctx.on_deliver r ~entity:1 ~src:0 ~seq:1 ~now:50;
   check int_t "post-crash deliver is incomplete, not a span" 0
-    (Trace_ctx.span_count r);
+    (List.length (Trace_ctx.spans r));
   check int_t "counted incomplete" 1 (Trace_ctx.incomplete r);
   (* A fresh full ladder in the next incarnation completes normally. *)
-  Trace_ctx.on_receive r ~entity:1 ~src:0 ~seq:1 ~now:60;
-  Trace_ctx.on_accept r ~entity:1 ~src:0 ~seq:1 ~now:61;
-  Trace_ctx.on_preack r ~entity:1 ~src:0 ~seq:1 ~now:62;
+  Trace_ctx.on_receive r ~entity:1 ~src:0 ~seq:1 ~data:true ~now:60;
+  Trace_ctx.on_accept r ~entity:1 ~src:0 ~seq:1 ~data:true ~now:61;
+  Trace_ctx.on_preack r ~entity:1 ~src:0 ~seq:1 ~data:true ~now:62;
   Trace_ctx.on_deliver r ~entity:1 ~src:0 ~seq:1 ~now:63;
   match Trace_ctx.spans r with
   | [ sp ] ->
@@ -496,6 +495,81 @@ let test_perfetto_golden () =
        (or copy the JSON from cosim run --seed 42 --trace-out).@.First 400 \
        bytes of the new output:@.%s"
       (String.sub actual 0 (min 400 (String.length actual)))
+
+(* The recorder's metric families and delay-attribution summary on the
+   same schedule, with a registry and entity 1 crashing mid-ladder and
+   restarting from its checkpoint. Keep in sync with gen_perfetto.ml. *)
+let recorder_scenario () =
+  let reg = Registry.create () in
+  let base = Cluster.default_config ~n:3 in
+  let cfg =
+    {
+      base with
+      Cluster.protocol = { base.Cluster.protocol with Config.tracing = true };
+      seed = 42;
+      loss_prob = 0.1;
+      instrument = Some reg;
+    }
+  in
+  let c = Cluster.create cfg in
+  List.iteri
+    (fun i (at, src) ->
+      Cluster.submit_at c ~at:(Simtime.of_ms at) ~src (Printf.sprintf "p%d" i))
+    [ (1, 0); (2, 1); (3, 2); (5, 0); (8, 1) ];
+  Cluster.run c ~until:(Simtime.of_ms 6);
+  Cluster.crash c ~id:1;
+  Cluster.run c ~until:(Simtime.of_ms 30);
+  Cluster.restart c ~id:1;
+  Cluster.run c ~max_events:400_000;
+  match Cluster.tracer c with
+  | Some tr -> (reg, tr)
+  | None -> Alcotest.fail "tracing-enabled cluster has no recorder"
+
+let recorder_families =
+  [
+    "co_ladder_stage_seconds";
+    "co_submit_queue_seconds";
+    "co_deliver_batch_size";
+    "co_spans_abandoned_total";
+  ]
+
+let is_recorder_line line =
+  let name =
+    match String.split_on_char ' ' line with
+    | "#" :: _ :: name :: _ -> name
+    | first :: _ -> (
+      match String.index_opt first '{' with
+      | Some i -> String.sub first 0 i
+      | None -> first)
+    | [] -> ""
+  in
+  List.exists
+    (fun f ->
+      List.exists
+        (fun suffix -> name = f ^ suffix)
+        [ ""; "_bucket"; "_sum"; "_count" ])
+    recorder_families
+
+let test_recorder_golden () =
+  let reg, tr = recorder_scenario () in
+  let prom =
+    List.filter is_recorder_line
+      (String.split_on_char '\n' (Exporter.to_prometheus reg))
+  in
+  let actual =
+    String.concat ""
+      (List.map
+         (fun l -> l ^ "\n")
+         (prom @ [ Critpath.summary_to_json (Critpath.of_recorder tr) ]))
+  in
+  let stored = read_file (fixture_path "recorder.golden.prom") in
+  if stored <> actual then
+    Alcotest.failf
+      "recorder.golden.prom is out of date with the span recorder. If the \
+       change is intentional, regenerate the fixture with:@.dune exec \
+       test/gen_perfetto.exe recorder > test/fixtures/recorder.golden.prom@.\
+       New output:@.%s"
+      actual
 
 let test_perfetto_schema () =
   let spans = perfetto_scenario () in
@@ -669,6 +743,8 @@ let () =
         [
           Alcotest.test_case "golden fixture" `Quick test_perfetto_golden;
           Alcotest.test_case "trace-event schema" `Quick test_perfetto_schema;
+          Alcotest.test_case "recorder golden fixture" `Quick
+            test_recorder_golden;
         ] );
       ( "interop",
         [

@@ -193,10 +193,10 @@ let test_view_change_join_then_remove () =
     (payloads t ~entity:1);
   check int_t "two view changes" 2 (Udp.view_changes t)
 
-(* The same membership cycle with both recorders on. The removal shifts
+(* The same membership cycle with the span recorder on. The removal shifts
    the joiner down to rank 1, where it continues its own sequence numbers
    under the departed rank's [src] — keys the departed rank already used.
-   The cut must make the recorders forget the closed epoch's send stamps,
+   The cut must make the recorder forget the closed epoch's send stamps,
    or each new-epoch span would start at an old-epoch send. *)
 let test_view_change_instrumented () =
   let registry = Repro_obs.Registry.create () in
@@ -237,7 +237,7 @@ let test_view_change_instrumented () =
   Udp.submit t ~src:0 "e0-a";
   Udp.submit t ~src:1 "e0-b";
   quiesce "epoch 0";
-  let before = Repro_obs.Trace_ctx.span_count tracer in
+  let before = List.length (Repro_obs.Trace_ctx.spans tracer) in
   commit Udp.Add_node;
   (* Rank 1 runs its sequence well ahead of the joiner's. *)
   for k = 1 to 4 do
@@ -246,15 +246,15 @@ let test_view_change_instrumented () =
   Udp.submit t ~src:2 "e1-from-joiner";
   quiesce "epoch 1";
   check_new_epoch_spans ~before "after the join";
-  let before = Repro_obs.Trace_ctx.span_count tracer in
+  let before = List.length (Repro_obs.Trace_ctx.spans tracer) in
   commit (Udp.Remove_node 1);
   Udp.submit t ~src:1 "e2-c";
   Udp.submit t ~src:0 "e2-d";
   quiesce "epoch 2";
   check_new_epoch_spans ~before "after the removal";
-  check int_t "close errors" 0 (Repro_obs.Lifecycle.close_errors lifecycle);
-  check int_t "order errors" 0 (Repro_obs.Lifecycle.order_errors lifecycle);
-  check int_t "open spans" 0 (Repro_obs.Lifecycle.open_spans lifecycle)
+  check int_t "close errors" 0 (Repro_obs.Trace_ctx.close_errors lifecycle);
+  check int_t "order errors" 0 (Repro_obs.Trace_ctx.order_errors lifecycle);
+  check int_t "open spans" 0 (Repro_obs.Trace_ctx.open_spans lifecycle)
 
 let test_view_change_requires_reconciliation () =
   let t = Udp.create ~config:fast_config ~n:2 () in
