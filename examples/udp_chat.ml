@@ -1,13 +1,14 @@
 (* The CO protocol outside the simulator: a 3-participant "chat" over real
    loopback UDP datagrams, with 10% of the packets deliberately dropped on
-   receive. Every participant still sees the conversation in causal order:
-   a reply never appears before the message it answers, and the lossy
-   transport is repaired by the protocol's own RET machinery — all in real
-   wall-clock time. *)
+   receive by a seeded fault injector on the socket path. Every participant
+   still sees the conversation in causal order: a reply never appears
+   before the message it answers, and the lossy transport is repaired by
+   the protocol's own RET machinery — all in real wall-clock time. *)
 
 module Udp = Repro_transport.Udp_cluster
 module Config = Repro_core.Config
 module Simtime = Repro_sim.Simtime
+module Injector = Repro_fault.Injector
 
 let () =
   let config =
@@ -17,8 +18,11 @@ let () =
       ret_retry_timeout = Simtime.of_ms 15;
     }
   in
-  let t = Udp.create ~config ~loss:0.10 ~seed:42 ~n:3 () in
+  let t = Udp.create ~config ~seed:42 ~n:3 () in
   Fun.protect ~finally:(fun () -> Udp.close t) @@ fun () ->
+  let inj = Injector.create ~n:3 ~seed:42 () in
+  Udp.set_fault_hook t (Injector.on_datagram inj);
+  Injector.apply inj (Repro_fault.Plan.Loss 0.10);
   let say ~src text =
     Udp.submit t ~src text;
     (* Give the datagram time to propagate so later lines causally depend
@@ -43,4 +47,4 @@ let () =
   Format.printf
     "@.%d datagrams on the wire, %d deliberately dropped, conversation \
      intact everywhere ✓@."
-    (Udp.datagrams_sent t) (Udp.datagrams_dropped t)
+    (Udp.datagrams_sent t) (Injector.stats inj).loss_drops

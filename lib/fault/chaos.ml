@@ -1,7 +1,6 @@
 module Cluster = Repro_core.Cluster
 module Entity = Repro_core.Entity
 module Engine = Repro_sim.Engine
-module Network = Repro_sim.Network
 module Simtime = Repro_sim.Simtime
 module Oracle = Repro_harness.Oracle
 module Trace_lint = Repro_check.Trace_lint
@@ -39,23 +38,6 @@ let schedule_workload cluster ~n ~per_entity =
     done
   done
 
-let schedule_plan cluster injector (plan : Plan.t) =
-  let engine = Cluster.engine cluster in
-  List.iter
-    (fun { Plan.at; action } ->
-      Engine.schedule engine ~at (fun () ->
-          match action with
-          | Plan.Crash e ->
-            if not (Cluster.is_down cluster e) then Cluster.crash cluster ~id:e;
-            Injector.apply injector action
-          | Plan.Restart e ->
-            (* Lift the medium fault first: the restarted entity's
-               recovery CTL must reach its peers. *)
-            Injector.apply injector action;
-            if Cluster.is_down cluster e then Cluster.restart cluster ~id:e
-          | _ -> Injector.apply injector action))
-    plan.events
-
 let backoff_samples reg =
   List.fold_left
     (fun acc (s : Registry.sample) ->
@@ -86,11 +68,14 @@ let run ?(n = 4) ?(seed = 1) ?(per_entity = 6)
   let cfg = { cfg with seed; instrument = Some reg; protocol } in
   let cluster = Cluster.create cfg in
   let injector = Injector.create ~wire ~n ~seed () in
-  Network.set_fault_hook (Cluster.network cluster) (Injector.on_pdu injector);
-  Network.set_service_hook (Cluster.network cluster)
-    (Injector.service_delay injector);
+  Injector.install injector (Cluster.network cluster) Injector.on_pdu;
   schedule_workload cluster ~n ~per_entity;
-  schedule_plan cluster injector plan;
+  Injector.schedule injector (Cluster.engine cluster) plan ~host:(function
+    | Plan.Crash e ->
+      if not (Cluster.is_down cluster e) then Cluster.crash cluster ~id:e
+    | Plan.Restart e ->
+      if Cluster.is_down cluster e then Cluster.restart cluster ~id:e
+    | _ -> ());
   let dog =
     Watchdog.install ~cluster
       ~period:(4 * cfg.protocol.Repro_core.Config.ret_retry_timeout)
@@ -227,13 +212,11 @@ let run_churn ?(max_nodes = 5) ?(seed = 1) ?(per_member = 6) ?registry
      pair replays bit-identically — control frames included, via the
      opaque-copy verdict. *)
   let injector = Injector.create ~n:max_nodes ~seed () in
-  Network.set_fault_hook (Group.network g) (fun ~dst ~src pkt ->
+  Injector.install injector (Group.network g) (fun inj ~dst ~src pkt ->
       match pkt with
       | Group.Proto p ->
-        List.map (fun q -> Group.Proto q) (Injector.on_pdu injector ~dst ~src p)
-      | Group.Control _ ->
-        List.init (Injector.copies injector ~dst ~src) (fun _ -> pkt));
-  Network.set_service_hook (Group.network g) (Injector.service_delay injector);
+        List.map (fun q -> Group.Proto q) (Injector.on_pdu inj ~dst ~src p)
+      | Group.Control _ -> Injector.on_copy inj ~dst ~src pkt);
   (* Workload: every endpoint keeps trying to submit through the whole
      faulted window; payloads are stamped with the submitter's epoch so
      cross-epoch leakage is detectable from the deliveries alone. *)
@@ -256,22 +239,13 @@ let run_churn ?(max_nodes = 5) ?(seed = 1) ?(per_member = 6) ?registry
             if Group.submit g ~node payload then incr accepted)
     done
   done;
-  List.iter
-    (fun { Plan.at; action } ->
-      Engine.schedule engine ~at (fun () ->
-          match action with
-          | Plan.Crash e ->
-            Injector.apply injector action;
-            Group.crash g ~node:e
-          | Plan.Restart e ->
-            Injector.apply injector action;
-            Group.revive g ~node:e
-          | Plan.Join e -> Group.propose g ~origin:e (Memberwire.Join e)
-          | Plan.Leave e ->
-            if Group.is_member g e then
-              Group.propose g ~origin:e (Memberwire.Leave e)
-          | _ -> Injector.apply injector action))
-    plan.Plan.events;
+  Injector.schedule injector engine plan ~host:(function
+    | Plan.Crash e -> Group.crash g ~node:e
+    | Plan.Restart e -> Group.revive g ~node:e
+    | Plan.Join e -> Group.propose g ~origin:e (Memberwire.Join e)
+    | Plan.Leave e ->
+      if Group.is_member g e then Group.propose g ~origin:e (Memberwire.Leave e)
+    | _ -> ());
   Group.install_suspicion g ~period:(Simtime.of_ms 10) ~departure_threshold:3
     ~until:plan.Plan.horizon ();
   Group.run ~until:plan.Plan.horizon g;

@@ -2,6 +2,8 @@ module Prng = Repro_util.Prng
 module Simtime = Repro_sim.Simtime
 module Pdu = Repro_pdu.Pdu
 module Codec = Repro_pdu.Codec
+module Engine = Repro_sim.Engine
+module Network = Repro_sim.Network
 
 module Config = Repro_core.Config
 
@@ -68,8 +70,8 @@ let apply t action =
   | Duplicate p -> t.duplicate <- p
   | Stall { entity; factor } -> t.stall.(entity) <- factor
   | Unstall e -> t.stall.(e) <- 1
-  (* Membership is the runner's job (Chaos.run_churn pairs these with
-     Group.propose); the medium itself is unaffected. *)
+  (* Membership is the host's job (see [schedule]); the medium itself is
+     unaffected. *)
   | Join _ | Leave _ -> ()
 
 let is_down t e = t.down.(e)
@@ -97,16 +99,35 @@ let separated t src dst =
   | None -> false
   | Some g -> g.(src) < 0 || g.(dst) < 0 || g.(src) <> g.(dst)
 
+let member t e = e >= 0 && e < t.n
+
 (* The shared verdict: which fault, if any, claims this copy. Draws are
-   made in a fixed order so a (plan, seed) pair replays identically. *)
-type verdict = Drop_crash | Drop_partition | Drop_loss | Corrupted | Pass of int
+   made in a fixed order so a (plan, seed) pair replays identically. A
+   copy from or to a non-member (an external datagram sender, [src = -1])
+   is no fault's business: it passes untouched and draws nothing. Drops
+   and duplicates are counted here, corruption by the caller that renders
+   it. *)
+type verdict = Drop | Corrupted | Pass of int
 
 let verdict t ~dst ~src =
-  if t.down.(src) || t.down.(dst) then Drop_crash
-  else if separated t src dst then Drop_partition
-  else if t.loss > 0. && Prng.bernoulli t.rng ~p:t.loss then Drop_loss
+  if not (member t src && member t dst) then Pass 1
+  else if t.down.(src) || t.down.(dst) then begin
+    t.crash_drops <- t.crash_drops + 1;
+    Drop
+  end
+  else if separated t src dst then begin
+    t.partition_drops <- t.partition_drops + 1;
+    Drop
+  end
+  else if t.loss > 0. && Prng.bernoulli t.rng ~p:t.loss then begin
+    t.loss_drops <- t.loss_drops + 1;
+    Drop
+  end
   else if t.corrupt > 0. && Prng.bernoulli t.rng ~p:t.corrupt then Corrupted
-  else if t.duplicate > 0. && Prng.bernoulli t.rng ~p:t.duplicate then Pass 2
+  else if t.duplicate > 0. && Prng.bernoulli t.rng ~p:t.duplicate then begin
+    t.duplicated <- t.duplicated + 1;
+    Pass 2
+  end
   else Pass 1
 
 let flip_random_bit t bytes =
@@ -122,15 +143,7 @@ let flip_random_bit t bytes =
 
 let on_pdu t ~dst ~src pdu =
   match verdict t ~dst ~src with
-  | Drop_crash ->
-    t.crash_drops <- t.crash_drops + 1;
-    []
-  | Drop_partition ->
-    t.partition_drops <- t.partition_drops + 1;
-    []
-  | Drop_loss ->
-    t.loss_drops <- t.loss_drops + 1;
-    []
+  | Drop -> []
   | Corrupted -> begin
     (* Round-trip through the wire format with one bit flipped: the
        codec's checksum is what stands between a flipped bit and the
@@ -147,54 +160,43 @@ let on_pdu t ~dst ~src pdu =
       t.corrupt_passed <- t.corrupt_passed + 1;
       mangled
   end
-  | Pass 1 -> [ pdu ]
-  | Pass _ ->
-    t.duplicated <- t.duplicated + 1;
-    [ pdu; pdu ]
+  | Pass k -> List.init k (Fun.const pdu)
 
 let on_datagram t ~dst ~src bytes =
   match verdict t ~dst ~src with
-  | Drop_crash ->
-    t.crash_drops <- t.crash_drops + 1;
-    []
-  | Drop_partition ->
-    t.partition_drops <- t.partition_drops + 1;
-    []
-  | Drop_loss ->
-    t.loss_drops <- t.loss_drops + 1;
-    []
+  | Drop -> []
   | Corrupted ->
     (* Hand the mangled datagram through: the receiver's decode path is
        expected to reject it (counted there as a decode error). *)
     t.corrupt_dropped <- t.corrupt_dropped + 1;
     [ flip_random_bit t bytes ]
-  | Pass 1 -> [ bytes ]
-  | Pass _ ->
-    t.duplicated <- t.duplicated + 1;
-    [ bytes; bytes ]
+  | Pass k -> List.init k (Fun.const bytes)
 
-let copies t ~dst ~src =
+let on_copy t ~dst ~src x =
   match verdict t ~dst ~src with
-  | Drop_crash ->
-    t.crash_drops <- t.crash_drops + 1;
-    0
-  | Drop_partition ->
-    t.partition_drops <- t.partition_drops + 1;
-    0
-  | Drop_loss ->
-    t.loss_drops <- t.loss_drops + 1;
-    0
+  | Drop -> []
   | Corrupted ->
-    (* An opaque frame can't be bit-flipped-and-redecoded here; model the
-       receiver's magic/shape check rejecting the mangled frame. *)
+    (* An opaque payload can't be bit-flipped-and-redecoded here; model the
+       receiver's shape check rejecting the mangled copy. *)
     t.corrupt_dropped <- t.corrupt_dropped + 1;
-    0
-  | Pass 1 -> 1
-  | Pass _ ->
-    t.duplicated <- t.duplicated + 1;
-    2
+    []
+  | Pass k -> List.init k (Fun.const x)
 
 let service_delay t ~dst d = d * t.stall.(dst)
+
+let install t net hook =
+  Network.set_fault_hook net (hook t);
+  Network.set_service_hook net (service_delay t)
+
+let schedule t engine (plan : Plan.t) ~host =
+  List.iter
+    (fun { Plan.at; action } ->
+      Engine.schedule engine ~at (fun () ->
+          (* Medium first: a restarted entity's recovery CTL must find
+             its NIC back up. *)
+          apply t action;
+          host action))
+    plan.Plan.events
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -29,10 +29,13 @@ type action =
       (** Multiply the entity's per-message service time by [factor]. *)
   | Unstall of int  (** Restore normal service time. *)
   | Join of int
-      (** Membership churn (the churn runner {!Chaos.run_churn} only):
-          the node proposes to join the group and is bootstrapped by
-          checkpoint state transfer. *)
-  | Leave of int  (** The member proposes a voluntary leave. *)
+      (** Membership churn, which the medium ignores: under
+          {!Chaos.run_churn} the node proposes to join the group and is
+          bootstrapped by checkpoint state transfer; a scenario run
+          brings its NIC up. {!Chaos.run} refuses it. *)
+  | Leave of int
+      (** The member proposes a voluntary leave (a scenario run takes its
+          NIC down). *)
 
 type event = { at : Repro_sim.Simtime.t; action : action }
 

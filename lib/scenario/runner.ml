@@ -8,6 +8,8 @@ module Oracle = Repro_harness.Oracle
 module Pac = Repro_harness.Pac
 module Cbcast = Repro_baselines.Cbcast
 module Tobcast = Repro_baselines.Tobcast
+module Plan = Repro_fault.Plan
+module Injector = Repro_fault.Injector
 
 type protocol = Co | Cbcast | Tobcast
 
@@ -52,6 +54,25 @@ let finish ~compiled ~protocol ~oracle ~causal_ok ~stalled ~submitted ~events
   in
   { protocol; curve; oracle; causal_ok; stalled; submitted; events; latencies_ms }
 
+(* Arm the scenario's faults on [net] and schedule its plan. Churn is
+   network silence: a leaver's NIC goes down, a joiner's comes up, and
+   [initially_down] nodes start down. The injector salts its seed with
+   [lxor 0xfa017]; undoing the salt keeps the loss stream seeded by [seed]
+   itself, the one the scenario artifacts were pinned with. *)
+let fault ~engine ~(compiled : Scenario.compiled) ~seed net hook =
+  let inj =
+    Injector.create ~n:compiled.Scenario.scenario.Scenario.n
+      ~seed:(seed lxor 0xfa017) ()
+  in
+  List.iter (fun e -> Injector.apply inj (Plan.Crash e))
+    compiled.Scenario.initially_down;
+  Injector.install inj net hook;
+  Injector.schedule inj engine compiled.Scenario.plan ~host:(function
+    | Plan.Leave e -> Injector.apply inj (Plan.Crash e)
+    | Plan.Join e -> Injector.apply inj (Plan.Restart e)
+    | _ -> ());
+  inj
+
 let run_co ~max_events ~(compiled : Scenario.compiled) ~seed =
   let sc = compiled.Scenario.scenario in
   let n = sc.Scenario.n in
@@ -60,15 +81,13 @@ let run_co ~max_events ~(compiled : Scenario.compiled) ~seed =
   in
   let cluster = Cluster.create cfg in
   let engine = Cluster.engine cluster in
-  let drv =
-    Driver.create ~engine ~n ~seed ~plan:compiled.Scenario.plan
-      ~initially_down:compiled.Scenario.initially_down
+  let inj =
+    fault ~engine ~compiled ~seed (Cluster.network cluster) Injector.on_pdu
   in
-  Driver.arm drv (Cluster.network cluster);
   List.iter
     (fun { Workload.at; src; payload } ->
       Engine.schedule engine ~at (fun () ->
-          if not (Driver.is_down drv src) then Cluster.submit cluster ~src payload))
+          if not (Injector.is_down inj src) then Cluster.submit cluster ~src payload))
     compiled.Scenario.workload;
   Engine.run engine ~until:(drain_until compiled) ~max_events;
   let tags = Cluster.data_tags cluster in
@@ -125,15 +144,15 @@ let baseline_net ~(compiled : Scenario.compiled) ~seed engine =
   Network.create engine cfg
 
 (* Schedule the workload, skipping sources that are down at fire time; the
-   skip schedule is identical across protocols because the driver replays
-   the same plan. Returns the submit-time table (tag -> send instant). *)
-let schedule_workload ~engine ~drv ~(compiled : Scenario.compiled) ~broadcast =
+   skip schedule is identical across protocols because every protocol's
+   injector replays the same plan. Returns the submit-time table (tag -> send instant). *)
+let schedule_workload ~engine ~inj ~(compiled : Scenario.compiled) ~broadcast =
   let sent = ref [] in
   let next_tag = ref 0 in
   List.iter
     (fun { Workload.at; src; payload } ->
       Engine.schedule engine ~at (fun () ->
-          if not (Driver.is_down drv src) then begin
+          if not (Injector.is_down inj src) then begin
             incr next_tag;
             sent := (!next_tag, at) :: !sent;
             broadcast ~src ~tag:!next_tag payload
@@ -159,13 +178,9 @@ let run_cbcast ~max_events ~(compiled : Scenario.compiled) ~seed =
   let engine = Engine.create () in
   let net = baseline_net ~compiled ~seed engine in
   let cb = Cbcast.create engine net ~n in
-  let drv =
-    Driver.create ~engine ~n ~seed ~plan:compiled.Scenario.plan
-      ~initially_down:compiled.Scenario.initially_down
-  in
-  Driver.arm drv net;
+  let inj = fault ~engine ~compiled ~seed net Injector.on_copy in
   let sent =
-    schedule_workload ~engine ~drv ~compiled ~broadcast:(fun ~src ~tag payload ->
+    schedule_workload ~engine ~inj ~compiled ~broadcast:(fun ~src ~tag payload ->
         Cbcast.broadcast cb ~src ~tag payload)
   in
   Engine.run engine ~until:(drain_until compiled) ~max_events;
@@ -189,13 +204,9 @@ let run_tobcast ~max_events ~(compiled : Scenario.compiled) ~seed =
   let engine = Engine.create () in
   let net = baseline_net ~compiled ~seed engine in
   let tb = Tobcast.create engine net ~n ~retry:(Simtime.of_ms 10) in
-  let drv =
-    Driver.create ~engine ~n ~seed ~plan:compiled.Scenario.plan
-      ~initially_down:compiled.Scenario.initially_down
-  in
-  Driver.arm drv net;
+  let inj = fault ~engine ~compiled ~seed net Injector.on_copy in
   let sent =
-    schedule_workload ~engine ~drv ~compiled ~broadcast:(fun ~src ~tag payload ->
+    schedule_workload ~engine ~inj ~compiled ~broadcast:(fun ~src ~tag payload ->
         Tobcast.broadcast tb ~src ~tag payload)
   in
   Engine.run engine ~until:(drain_until compiled) ~max_events;
@@ -208,9 +219,21 @@ let run_tobcast ~max_events ~(compiled : Scenario.compiled) ~seed =
     ~submitted:(List.length !sent)
     ~events:(Engine.processed engine) ~latencies_ms
 
+let duplicates (plan : Plan.t) =
+  List.exists
+    (fun { Plan.action; _ } ->
+      match action with Plan.Duplicate p -> p > 0. | _ -> false)
+    plan.Plan.events
+
 let run ?(max_events = 5_000_000) ~compiled ~seed protocol =
   match protocol with
   | Co -> run_co ~max_events ~compiled ~seed
+  | Cbcast when duplicates compiled.Scenario.plan ->
+    invalid_arg
+      (Printf.sprintf
+         "Runner.run: plan %s duplicates copies, but cbcast assumes a \
+          duplicate-free medium (it delivers both copies)"
+         compiled.Scenario.plan.Plan.name)
   | Cbcast -> run_cbcast ~max_events ~compiled ~seed
   | Tobcast -> run_tobcast ~max_events ~compiled ~seed
 

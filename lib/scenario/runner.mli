@@ -1,13 +1,17 @@
 (** Run a compiled scenario under each protocol and measure PAC curves.
 
     One run: build the protocol's cluster over the compiled topology, arm
-    the scenario {!Driver} on its network, schedule the workload (skipping
-    submissions whose source is down at fire time — identically across
-    protocols, since the down-schedule is the same), drive the engine to
-    twice the scenario horizon, and fold every observer's deliveries into
-    a {!Repro_harness.Pac} curve. CO runs additionally get the exact
-    causal-order oracle over the observers, so the acceptance property
-    "exact order holds whenever PAC reports 1.0" is checkable. *)
+    a seeded {!Repro_fault.Injector} on its network with the scenario's
+    plan (CO copies through {!Repro_fault.Injector.on_pdu}, baseline
+    messages through {!Repro_fault.Injector.on_copy}; churn is network
+    silence — a [Leave] takes the node's NIC down, a [Join] brings it up,
+    and [initially_down] nodes start down), schedule the workload
+    (skipping submissions whose source is down at fire time — identically
+    across protocols, since the down-schedule is the same), drive the
+    engine to twice the scenario horizon, and fold every observer's
+    deliveries into a {!Repro_harness.Pac} curve. CO runs additionally get
+    the exact causal-order oracle over the observers, so the acceptance
+    property "exact order holds whenever PAC reports 1.0" is checkable. *)
 
 type protocol = Co | Cbcast | Tobcast
 
@@ -39,8 +43,11 @@ val run :
   protocol ->
   result
 (** [max_events] defaults to 5 million. The [seed] feeds the network and
-    the fault driver; equal [(compiled, seed, protocol)] triples produce
-    structurally equal results. *)
+    the injector; equal [(compiled, seed, protocol)] triples produce
+    structurally equal results.
+    @raise Invalid_argument for [Cbcast] under a plan that duplicates
+    copies: cbcast assumes a duplicate-free medium and would deliver both
+    copies. *)
 
 val deadline_grid : Scenario.compiled -> result list -> float list
 (** Shared deadline ladder over the pooled latencies of all runs plus the

@@ -44,8 +44,6 @@ type t = {
          per-epoch [cid] from it. *)
   mutable epoch : int;
   mutable view_changes : int;
-  rng : Repro_util.Prng.t;
-  loss : float;
   started_at_mono : int; (* Monoclock µs at creation; stamp origin *)
   started_at_wall : float;
       (* The run's single wall-clock stamp (Unix.gettimeofday at
@@ -54,7 +52,6 @@ type t = {
   buf : Bytes.t;
   wirestats : Wirestats.t;
   mutable sent : int;
-  mutable dropped : int;
   mutable decode_errors : int;
   mutable closed : bool;
   mutable fault_hook : (dst:int -> src:int -> bytes -> bytes list) option;
@@ -195,10 +192,8 @@ let bind_loopback () =
   Unix.set_nonblock fd;
   fd
 
-let create ?registry ?(loss = 0.) ?(seed = 0) ?(config = Config.default) ~n ()
-    =
+let create ?registry ?(seed = 0) ?(config = Config.default) ~n () =
   if n < 2 then invalid_arg "Udp_cluster.create: n must be >= 2";
-  if loss < 0. || loss > 1. then invalid_arg "Udp_cluster.create: loss";
   Config.validate config;
   if config.Config.wire = Config.V1 then
     invalid_arg "Udp_cluster.create: egress is v2 only (config.wire = V1)";
@@ -223,14 +218,11 @@ let create ?registry ?(loss = 0.) ?(seed = 0) ?(config = Config.default) ~n ()
       base_config = config;
       epoch = 0;
       view_changes = 0;
-      rng = Repro_util.Prng.create ~seed;
-      loss;
       started_at_mono = Monoclock.now_us ();
       started_at_wall = Unix.gettimeofday ();
       buf = Bytes.create 65536;
       wirestats = Wirestats.create ~wire:(Config.wire_name config.Config.wire);
       sent = 0;
-      dropped = 0;
       decode_errors = 0;
       closed = false;
       fault_hook = None;
@@ -273,13 +265,9 @@ let src_of_addr t from =
   scan 0
 
 let offer t node datagram =
-  if t.loss > 0. && Repro_util.Prng.bernoulli t.rng ~p:t.loss then
-    t.dropped <- t.dropped + 1
-  else begin
-    match Codec.decode_any datagram with
-    | Ok pdus -> Entity.receive_batch node.entity pdus
-    | Error _ -> t.decode_errors <- t.decode_errors + 1
-  end
+  match Codec.decode_any datagram with
+  | Ok pdus -> Entity.receive_batch node.entity pdus
+  | Error _ -> t.decode_errors <- t.decode_errors + 1
 
 let drain_socket t node =
   let got = ref false in
@@ -456,7 +444,6 @@ let port t i =
 let set_fault_hook t f = t.fault_hook <- Some f
 let clear_fault_hook t = t.fault_hook <- None
 let datagrams_sent t = t.sent
-let datagrams_dropped t = t.dropped
 let datagrams_faulted t = t.faulted
 let decode_errors t = t.decode_errors
 let lifecycle t = Telemetry.lifecycle t.telemetry
@@ -478,8 +465,6 @@ let sync_registry t =
     in
     c ~help:"UDP datagrams put on the wire" "co_udp_datagrams_sent_total"
       t.sent;
-    c ~help:"Incoming datagrams dropped by injected loss"
-      "co_udp_datagrams_dropped_total" t.dropped;
     c ~help:"Datagrams that failed PDU decoding" "co_udp_decode_errors_total"
       t.decode_errors;
     c ~help:"Committed membership view changes" "co_view_changes_total"

@@ -5,8 +5,10 @@
     one socket per entity, PDUs serialized with {!Repro_pdu.Codec}, timers
     against the wall clock, a single-threaded [select] event loop. UDP
     supplies genuine reordering-free-but-lossy per-channel semantics close to
-    the paper's MC service; an optional iid drop filter adds deterministic
-    loss for tests.
+    the paper's MC service. Injected faults (loss, corruption, duplication,
+    partitions) come from outside through {!set_fault_hook} — typically a
+    seeded {!Repro_fault.Injector.on_datagram}, the same fault interpreter
+    the simulator runs.
 
     This is the "production" face of the library: what a deployment on a real
     LAN segment would look like, minus multicast group management. *)
@@ -15,15 +17,13 @@ type t
 
 val create :
   ?registry:Repro_obs.Registry.t ->
-  ?loss:float ->
   ?seed:int ->
   ?config:Repro_core.Config.t ->
   n:int ->
   unit ->
   t
 (** Bind [n] UDP sockets on ephemeral loopback ports and attach one CO entity
-    to each. [loss] drops incoming datagrams iid (before decode, never for an
-    entity's own loopback, which is delivered in-process). [registry]
+    to each. [seed] (default 0) salts the trace ids. [registry]
     enables receipt-ladder telemetry: every entity gets a probe stamping
     {e monotonic-clock} microseconds into a {!Repro_obs.Trace_ctx.t} (see
     {!sync_registry}); the one wall-clock stamp the cluster keeps is
@@ -37,8 +37,7 @@ val create :
     {!Repro_core.Telemetry.create} rules: iff [registry] or
     [config.tracing] (see {!lifecycle} and {!tracer}).
 
-    @raise Invalid_argument if [n < 2], [loss] is outside [0, 1],
-    [config] is invalid, or [config.wire = V1] (the v1 codec stays the
+    @raise Invalid_argument if [n < 2], [config] is invalid, or [config.wire = V1] (the v1 codec stays the
     simulator's paper-literal reference; no UDP node frames with it).
     @raise Unix.Unix_error if sockets cannot be created. *)
 
@@ -120,13 +119,13 @@ val set_fault_hook : t -> (dst:int -> src:int -> bytes -> bytes list) -> unit
     checksum, counted in {!decode_errors}), several copies model
     duplication. This is the same contract as the simulator's
     {!Repro_sim.Network.set_fault_hook}, so one
-    {!Repro_fault.Injector.on_datagram} closure serves both transports.
+    {!Repro_fault.Injector.on_datagram} closure serves both transports
+    (it passes an external sender's datagrams through untouched).
     Replaces any previous hook. *)
 
 val clear_fault_hook : t -> unit
 
 val datagrams_sent : t -> int
-val datagrams_dropped : t -> int
 
 val datagrams_faulted : t -> int
 (** Datagrams the fault hook discarded outright. *)

@@ -333,6 +333,48 @@ let test_injector_down_silences_both_directions () =
   Injector.apply inj (Plan.Restart 2);
   check int_t "back" 1 (List.length (Injector.on_pdu inj ~dst:2 ~src:0 pdu))
 
+(* A copy from outside the entity set passes untouched and leaves the
+   verdict stream where it was: the injector that saw it draws exactly as
+   one that never did. *)
+let test_injector_passes_foreign_copies () =
+  let verdicts inj =
+    List.init 64 (fun i ->
+        List.length (Injector.on_datagram inj ~dst:(i mod 2) ~src:2 Bytes.empty))
+  in
+  let a = Injector.create ~n:3 ~seed:9 () in
+  let b = Injector.create ~n:3 ~seed:9 () in
+  List.iter (fun inj -> Injector.apply inj (Plan.Loss 0.5)) [ a; b ];
+  let dg = Bytes.of_string "foreign" in
+  check int_t "passes untouched" 1
+    (List.length
+       (List.filter (Bytes.equal dg) (Injector.on_datagram a ~dst:0 ~src:(-1) dg)));
+  check int_t "no fault claimed it" 0 (Injector.stats a).loss_drops;
+  check (Alcotest.list int_t) "same stream afterwards" (verdicts b) (verdicts a)
+
+(* The plan scheduler applies each action to the medium before the host
+   sees it, so a restarted entity's first transmissions find its NIC up. *)
+let test_injector_schedule_medium_first () =
+  let engine = Engine.create () in
+  let inj = Injector.create ~n:2 ~seed:1 () in
+  let plan =
+    {
+      Plan.name = "blip";
+      description = "";
+      events =
+        [
+          { Plan.at = Simtime.of_ms 1; action = Plan.Crash 1 };
+          { Plan.at = Simtime.of_ms 2; action = Plan.Restart 1 };
+        ];
+      horizon = Simtime.of_ms 3;
+    }
+  in
+  let seen = ref [] in
+  Injector.schedule inj engine plan ~host:(fun action ->
+      seen := (action, Injector.is_down inj 1) :: !seen);
+  Engine.run engine ~until:(Simtime.of_ms 3);
+  check bool_t "host saw crash with NIC down, restart with NIC up" true
+    (List.rev !seen = [ (Plan.Crash 1, true); (Plan.Restart 1, false) ])
+
 (* --- Chaos plans (the acceptance gate) --- *)
 
 let run_plan plan = Chaos.run ~n:4 ~seed:1 plan
@@ -517,6 +559,10 @@ let () =
             test_injector_corruption_is_caught_by_codec;
           Alcotest.test_case "crash silences both directions" `Quick
             test_injector_down_silences_both_directions;
+          Alcotest.test_case "foreign copies pass without a draw" `Quick
+            test_injector_passes_foreign_copies;
+          Alcotest.test_case "schedule applies the medium first" `Quick
+            test_injector_schedule_medium_first;
         ] );
       ( "chaos-plans",
         [

@@ -3,13 +3,11 @@
 
 module Simtime = Repro_sim.Simtime
 module Topology = Repro_sim.Topology
-module Engine = Repro_sim.Engine
 module Plan = Repro_fault.Plan
 module Workload = Repro_harness.Workload
 module Pac = Repro_harness.Pac
 module Oracle = Repro_harness.Oracle
 module Scenario = Repro_scenario.Scenario
-module Driver = Repro_scenario.Driver
 module Runner = Repro_scenario.Runner
 
 let check = Alcotest.check
@@ -107,21 +105,6 @@ let test_compile_rejects_malformed () =
                    asymmetry = 2.0;
                  };
            }))
-
-let test_driver_rejects_unsupported_actions () =
-  let engine = Engine.create () in
-  let plan =
-    {
-      Plan.name = "stall";
-      description = "driver cannot express stalls";
-      events = [ { Plan.at = ms 5; action = Plan.Stall { entity = 1; factor = 4 } } ];
-      horizon = ms 50;
-    }
-  in
-  Alcotest.match_raises "stall refused"
-    (function Invalid_argument _ -> true | _ -> false)
-    (fun () ->
-      ignore (Driver.create ~engine ~n:3 ~seed:1 ~plan ~initially_down:[]))
 
 (* Every compiled plan is valid, time-sorted, and heals before the
    horizon — across builtins and seeds. *)
@@ -341,6 +324,82 @@ let test_same_seed_byte_identical_artifact () =
   let c = artifact ~seed:22 Scenario.burst_storm in
   check bool_t "different seed, different runs" false (String.equal a c)
 
+(* The committed artifacts pin the fault path byte for byte: churn_wave
+   exercises the Leave/Join network silence and initially-down nodes,
+   flaky_wan the Gilbert–Elliott loss draws. *)
+let fixture_path name =
+  let candidates =
+    [
+      Filename.concat (Filename.dirname Sys.executable_name)
+        (Filename.concat "fixtures" name);
+      Filename.concat "test/fixtures" name;
+      Filename.concat "fixtures" name;
+    ]
+  in
+  match List.find_opt Sys.file_exists candidates with
+  | Some p -> p
+  | None -> List.hd candidates
+
+let test_golden_artifacts () =
+  List.iter
+    (fun s ->
+      let seed = 42 in
+      let compiled, results = run_all ~seed s in
+      let actual = Runner.artifact_json ~compiled ~seed results in
+      let path =
+        fixture_path
+          (Printf.sprintf "pac_%s.golden.json" s.Scenario.name)
+      in
+      let stored = In_channel.with_open_bin path In_channel.input_all in
+      check Alcotest.string (s.Scenario.name ^ " artifact") stored actual)
+    [ Scenario.churn_wave; Scenario.flaky_wan ]
+
+(* Scenario plans take every injector action. wan_hotspot's own plan is
+   empty, so these scripts are the only faults in the run. *)
+let with_events events =
+  let compiled = Scenario.compile ~seed:42 Scenario.wan_hotspot in
+  check int_t "wan_hotspot plan is empty" 0
+    (List.length compiled.Scenario.plan.Plan.events);
+  {
+    compiled with
+    Scenario.plan =
+      {
+        compiled.Scenario.plan with
+        Plan.events =
+          List.map (fun (at, action) -> { Plan.at = ms at; action }) events;
+      };
+  }
+
+let check_complete compiled protocols =
+  List.iter
+    (fun p ->
+      let r = Runner.run ~compiled ~seed:42 p in
+      check bool_t
+        (Runner.protocol_name p ^ " terminal = 1.0")
+        true
+        (Pac.terminal r.Runner.curve = 1.0);
+      match r.Runner.oracle with
+      | Some report -> check bool_t "CO oracle ok" true (Oracle.ok report)
+      | None -> ())
+    protocols
+
+let test_stall_plan () =
+  check_complete
+    (with_events
+       [ (20, Plan.Stall { entity = 2; factor = 4 }); (80, Plan.Unstall 2) ])
+    Runner.all_protocols
+
+let test_duplicate_plan () =
+  let compiled =
+    with_events [ (10, Plan.Duplicate 0.3); (90, Plan.Duplicate 0.0) ]
+  in
+  check_complete compiled [ Runner.Co; Runner.Tobcast ];
+  Alcotest.check_raises "cbcast refuses a duplicating medium"
+    (Invalid_argument
+       "Runner.run: plan wan_hotspot duplicates copies, but cbcast assumes a \
+        duplicate-free medium (it delivers both copies)")
+    (fun () -> ignore (Runner.run ~compiled ~seed:42 Runner.Cbcast))
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite tests = Qutil.qsuite ~long:false tests
@@ -357,8 +416,6 @@ let () =
             test_compile_observers_and_down;
           Alcotest.test_case "malformed scenarios rejected" `Quick
             test_compile_rejects_malformed;
-          Alcotest.test_case "driver rejects unsupported actions" `Quick
-            test_driver_rejects_unsupported_actions;
           Alcotest.test_case "zipf workload matches quotas" `Quick
             test_zipf_workload_counts_match_quotas;
         ]
@@ -378,6 +435,11 @@ let () =
             test_pac_one_implies_oracle_ok;
           Alcotest.test_case "same-seed artifacts byte-identical" `Slow
             test_same_seed_byte_identical_artifact;
+          Alcotest.test_case "artifacts match the committed goldens" `Slow
+            test_golden_artifacts;
+          Alcotest.test_case "stall plan completes" `Slow test_stall_plan;
+          Alcotest.test_case "duplicate plan completes; cbcast refuses" `Slow
+            test_duplicate_plan;
         ]
         @ qsuite [ prop_pac_curve_monotone ] );
     ]

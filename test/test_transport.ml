@@ -7,6 +7,8 @@ module Config = Repro_core.Config
 module Entity = Repro_core.Entity
 module Pdu = Repro_pdu.Pdu
 module Simtime = Repro_sim.Simtime
+module Injector = Repro_fault.Injector
+module Plan = Repro_fault.Plan
 
 let check = Alcotest.check
 let int_t = Alcotest.int
@@ -52,8 +54,11 @@ let test_causal_order_over_udp () =
   done
 
 let test_recovery_under_loss () =
-  let t = Udp.create ~config:fast_config ~loss:0.2 ~seed:7 ~n:3 () in
+  let t = Udp.create ~config:fast_config ~seed:7 ~n:3 () in
   Fun.protect ~finally:(fun () -> Udp.close t) @@ fun () ->
+  let inj = Injector.create ~n:3 ~seed:7 () in
+  Udp.set_fault_hook t (Injector.on_datagram inj);
+  Injector.apply inj (Plan.Loss 0.2);
   for i = 1 to 10 do
     Udp.submit t ~src:(i mod 3) (Printf.sprintf "m%d" i);
     Udp.run_for t ~seconds:0.004
@@ -66,7 +71,8 @@ let test_recovery_under_loss () =
       10
       (List.length (Udp.deliveries t ~entity:e))
   done;
-  check bool_t "losses actually happened" true (Udp.datagrams_dropped t > 0)
+  check bool_t "losses actually happened" true
+    ((Injector.stats inj).loss_drops > 0)
 
 let test_larger_cluster () =
   let t = Udp.create ~config:fast_config ~n:5 () in
@@ -83,8 +89,6 @@ let test_validation () =
   Alcotest.check_raises "n" (Invalid_argument
     "Udp_cluster.create: n must be >= 2") (fun () ->
       ignore (Udp.create ~n:1 ()));
-  Alcotest.check_raises "loss" (Invalid_argument "Udp_cluster.create: loss")
-    (fun () -> ignore (Udp.create ~loss:2.0 ~n:2 ()));
   Alcotest.check_raises "v1 egress"
     (Invalid_argument "Udp_cluster.create: egress is v2 only (config.wire = V1)")
     (fun () ->
@@ -117,6 +121,28 @@ let test_garbage_datagrams_ignored () =
   check int_t "real message still delivered" 1
     (List.length (Udp.deliveries t ~entity:1))
 
+(* A datagram from outside the cluster reaches the hook with [src = -1];
+   the injector must pass it through to the decode path (which rejects
+   it) rather than index its fault state with it. *)
+let test_foreign_datagram_under_injector () =
+  let t = Udp.create ~config:fast_config ~n:2 () in
+  Fun.protect ~finally:(fun () -> Udp.close t) @@ fun () ->
+  Udp.set_fault_hook t (Injector.on_datagram (Injector.create ~n:2 ~seed:1 ()));
+  let stranger = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close stranger) @@ fun () ->
+  let junk = Bytes.of_string "\x09\x00\x00\x00\x00" in
+  ignore
+    (Unix.sendto stranger junk 0 (Bytes.length junk) []
+       (Unix.ADDR_INET (Unix.inet_addr_loopback, Udp.port t 0)));
+  check bool_t "step handles the datagram" true (Udp.step t ~timeout_s:1.);
+  check int_t "rejected by decode" 1 (Udp.decode_errors t);
+  Udp.submit t ~src:1 "after";
+  check bool_t "quiescent" true (Udp.run_until_quiescent t ~max_seconds:5.);
+  for e = 0 to 1 do
+    check int_t (Printf.sprintf "entity %d delivered" e) 1
+      (List.length (Udp.deliveries t ~entity:e))
+  done
+
 (* The chaos injector speaks the same hook contract as the simulator: wire
    it into the UDP transport and corrupt datagrams in flight. The codec
    checksum must reject every mangled datagram (counted as decode errors)
@@ -124,22 +150,22 @@ let test_garbage_datagrams_ignored () =
 let test_fault_injected_corruption () =
   let t = Udp.create ~config:fast_config ~seed:11 ~n:3 () in
   Fun.protect ~finally:(fun () -> Udp.close t) @@ fun () ->
-  let inj = Repro_fault.Injector.create ~n:3 ~seed:11 () in
-  Udp.set_fault_hook t (Repro_fault.Injector.on_datagram inj);
-  Repro_fault.Injector.apply inj (Repro_fault.Plan.Corrupt 0.4);
+  let inj = Injector.create ~n:3 ~seed:11 () in
+  Udp.set_fault_hook t (Injector.on_datagram inj);
+  Injector.apply inj (Plan.Corrupt 0.4);
   for k = 1 to 3 do
     Udp.submit t ~src:0 (Printf.sprintf "a%d" k);
     Udp.submit t ~src:1 (Printf.sprintf "b%d" k)
   done;
   Udp.run_for t ~seconds:0.3;
-  Repro_fault.Injector.apply inj (Repro_fault.Plan.Corrupt 0.);
+  Injector.apply inj (Plan.Corrupt 0.);
   check bool_t "quiescent after heal" true
     (Udp.run_until_quiescent t ~max_seconds:20.);
   for e = 0 to 2 do
     check int_t (Printf.sprintf "entity %d delivered all" e) 6
       (List.length (Udp.deliveries t ~entity:e))
   done;
-  let s = Repro_fault.Injector.stats inj in
+  let s = Injector.stats inj in
   check bool_t "corruption injected" true (s.corrupt_dropped > 0);
   check bool_t "checksum rejected them" true (Udp.decode_errors t > 0)
 
@@ -295,6 +321,8 @@ let () =
           Alcotest.test_case "larger cluster" `Quick test_larger_cluster;
           Alcotest.test_case "validation" `Quick test_validation;
           Alcotest.test_case "garbage datagrams" `Quick test_garbage_datagrams_ignored;
+          Alcotest.test_case "foreign datagram under the injector" `Quick
+            test_foreign_datagram_under_injector;
           Alcotest.test_case "injected corruption" `Slow
             test_fault_injected_corruption;
           Alcotest.test_case "view change join then remove" `Quick
